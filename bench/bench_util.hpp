@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,14 @@
 #include "proto/window_model.hpp"
 #include "sim/scenario_runner.hpp"
 #include "workload/synthetic.hpp"
+
+// Build identity for the BENCH_*.json fingerprint; CMake defines both.
+#ifndef EDM_BENCH_BUILD_TYPE
+#define EDM_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef EDM_BENCH_CXX_FLAGS
+#define EDM_BENCH_CXX_FLAGS "unknown"
+#endif
 
 namespace edm {
 namespace bench {
@@ -120,6 +129,18 @@ struct RunResult
     std::uint64_t completed = 0;
 };
 
+/** Global message-count scaling from EDM_BENCH_SCALE. */
+inline double
+benchScale()
+{
+    if (const char *s = std::getenv("EDM_BENCH_SCALE")) {
+        const double v = std::atof(s);
+        if (v > 0)
+            return v;
+    }
+    return 1.0;
+}
+
 /**
  * Machine-readable benchmark results: every record is one (name, config)
  * measurement with a few numeric metrics. Writing BENCH_*.json files
@@ -129,6 +150,10 @@ struct RunResult
  *   out.record("bulk-read", "train=24", {{"ns_per_op", 12.3},
  *                                        {"blocks_per_sec", 8.1e7}});
  *   // written on destruction (or call write() explicitly)
+ *
+ * Every file carries a "machine" fingerprint (nproc, compiler, build
+ * type and flags, EDM_BENCH_SCALE) so rows from different machines or
+ * builds are never compared blind.
  */
 class BenchJson
 {
@@ -177,8 +202,16 @@ class BenchJson
             std::fprintf(stderr, "bench: cannot write %s\n", path_.c_str());
             return;
         }
-        std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"results\": [",
-                     bench_name_.c_str());
+        std::fprintf(f,
+                     "{\n  \"bench\": \"%s\",\n  \"machine\": {\"nproc\": "
+                     "%u, \"compiler\": \"%s\", \"build_type\": \"%s\", "
+                     "\"cxx_flags\": \"%s\", \"scale\": %.17g},\n"
+                     "  \"results\": [",
+                     bench_name_.c_str(),
+                     std::thread::hardware_concurrency(),
+                     jsonEscape(compilerName()).c_str(),
+                     jsonEscape(EDM_BENCH_BUILD_TYPE).c_str(),
+                     jsonEscape(EDM_BENCH_CXX_FLAGS).c_str(), benchScale());
         for (std::size_t i = 0; i < records_.size(); ++i) {
             const Record &r = records_[i];
             std::fprintf(f, "%s\n    {\"name\": \"%s\", \"config\": \"%s\"",
@@ -201,23 +234,35 @@ class BenchJson
         Metrics metrics;
     };
 
+    static std::string
+    compilerName()
+    {
+#if defined(__clang__)
+        return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+        return std::string("gcc ") + __VERSION__;
+#else
+        return "unknown";
+#endif
+    }
+
+    static std::string
+    jsonEscape(const std::string &in)
+    {
+        std::string out;
+        for (const char c : in) {
+            if (c == '"' || c == '\\')
+                out += '\\';
+            out += c;
+        }
+        return out;
+    }
+
     std::string bench_name_;
     std::string path_;
     std::vector<Record> records_;
     bool written_ = false;
 };
-
-/** Global message-count scaling from EDM_BENCH_SCALE. */
-inline double
-benchScale()
-{
-    if (const char *s = std::getenv("EDM_BENCH_SCALE")) {
-        const double v = std::atof(s);
-        if (v > 0)
-            return v;
-    }
-    return 1.0;
-}
 
 /** Fully-specified experiment point of the §4.3 simulations. */
 struct PointSpec

@@ -18,7 +18,8 @@ HostStack::HostStack(NodeId id, const EdmConfig &cfg, EventQueue &events,
                  ++stats_.frames_received;
                  if (on_frame_)
                      on_frame_(std::move(frame));
-             })
+             }),
+      peers_(cfg.num_nodes)
 {
     EDM_ASSERT(on_tx_work_, "host stack needs a TX-work callback");
     if (has_memory) {
@@ -82,20 +83,39 @@ HostStack::postRmw(NodeId dst, std::uint64_t addr, mem::RmwOp op,
     admit(dst, std::move(req));
 }
 
+HostStack::PendingRequest
+HostStack::PeerState::popParked()
+{
+    PendingRequest req = std::move(parked[parked_head++]);
+    if (parked_head == parked.size()) {
+        parked.clear();
+        parked_head = 0;
+    } else if (parked_head >= 64 && 2 * parked_head >= parked.size()) {
+        // A backlog that never drains must not grow without bound:
+        // drop the consumed prefix once it outweighs the live tail.
+        parked.erase(parked.begin(), parked.begin() + parked_head);
+        parked_head = 0;
+    }
+    return req;
+}
+
 bool
 HostStack::nextIdLive(NodeId dst)
 {
-    return requests_.count(std::make_pair(dst, next_id_[dst])) != 0;
+    return requests_.count(msgKey(dst, peers_[dst].next_id)) != 0;
 }
 
 void
 HostStack::admit(NodeId dst, PendingRequest req)
 {
+    EDM_ASSERT(dst < peers_.size(), "host %u: send to unknown node %u",
+               id_, dst);
+    PeerState &peer = peers_[dst];
     // Rate-limit active requests to X per destination (§3.1.2): the
     // scheduler's per-port notification queues are sized X·N, and hosts
     // are the enforcement point.
-    if (outstanding_[dst] >= cfg_.max_notifications) {
-        parked_[dst].push_back(std::move(req));
+    if (peer.outstanding >= cfg_.max_notifications) {
+        peer.parked.push_back(std::move(req));
         return;
     }
     // 8-bit message ids wrap at 256 sends per destination; launching
@@ -106,35 +126,32 @@ HostStack::admit(NodeId dst, PendingRequest req)
     // release(), which drains the park.
     if (nextIdLive(dst)) {
         ++stats_.id_stalls;
-        parked_[dst].push_back(std::move(req));
+        peer.parked.push_back(std::move(req));
         if (auto *log = cfg_.event_log)
             log->log(trace::EventType::IdWrapStall, events_.now(), id_,
-                     id_, dst, next_id_[dst], false, trace::Detail::None,
-                     parked_[dst].size());
+                     id_, dst, peer.next_id, false, trace::Detail::None,
+                     peer.parkedCount());
         return;
     }
-    ++outstanding_[dst];
+    ++peer.outstanding;
     launch(std::move(req));
 }
 
 void
 HostStack::release(NodeId dst)
 {
-    auto it = outstanding_.find(dst);
-    EDM_ASSERT(it != outstanding_.end() && it->second > 0,
+    PeerState &peer = peers_[dst];
+    EDM_ASSERT(peer.outstanding > 0,
                "release without matching admit for dst %u", dst);
-    --it->second;
+    --peer.outstanding;
     // Drain as many parked sends as the freed slot (and, after an
     // id-stall, the freed message id) allows. Without id stalls parked
     // is non-empty only when every slot is taken, so the loop runs at
     // most once — exactly the historical one-for-one relaunch.
-    auto &parked = parked_[dst];
-    while (!parked.empty() && it->second < cfg_.max_notifications &&
-           !nextIdLive(dst)) {
-        PendingRequest req = std::move(parked.front());
-        parked.pop_front();
-        ++it->second;
-        launch(std::move(req));
+    while (peer.hasParked() &&
+           peer.outstanding < cfg_.max_notifications && !nextIdLive(dst)) {
+        ++peer.outstanding;
+        launch(peer.popParked());
     }
 }
 
@@ -142,10 +159,10 @@ void
 HostStack::launch(PendingRequest req)
 {
     const NodeId dst = req.msg.dst;
-    const MsgId id = next_id_[dst]++;
+    const MsgId id = peers_[dst].next_id++;
     req.msg.id = id;
 
-    const auto key = std::make_pair(dst, id);
+    const MsgKey key = msgKey(dst, id);
     EDM_ASSERT(!requests_.count(key),
                "message id wrap with >256 outstanding to node %u", dst);
 
@@ -285,7 +302,7 @@ void
 HostStack::onGrant(const ControlInfo &g)
 {
     grant_queue_.pop();
-    const auto req_key = std::make_pair(g.dst, g.id);
+    const MsgKey req_key = msgKey(g.dst, g.id);
     // Route by the grant's direction bit: a host can hold a WREQ toward
     // a peer *and* serve that peer's read under the same (dst, id), and
     // spending a response grant on the write (or vice versa) both
@@ -324,15 +341,15 @@ HostStack::onGrant(const ControlInfo &g)
         // reusing the same (dst, id). One sweep is pending per key, not
         // per grant — armed here on the empty→non-empty transition.
         ++stats_.grants_parked;
-        auto &parked = parked_grants_[req_key];
-        parked.push_back(ParkedGrant{g.size, events_.now()});
+        ParkedGrants &parked = parked_grants_[req_key];
+        parked.grants.push_back(ParkedGrant{g.size, events_.now()});
         if (auto *log = cfg_.event_log)
             log->log(trace::EventType::GrantParked, events_.now(), id_,
                      id_, g.dst, g.id, g.response, trace::Detail::None,
                      g.size);
         if (cfg_.parked_grant_timeout > 0 &&
-            !parked_sweeps_.count(req_key)) {
-            parked_sweeps_[req_key] =
+            parked.sweep == kInvalidEvent) {
+            parked.sweep =
                 events_.scheduleAfter(cfg_.parked_grant_timeout,
                                       [this, req_key] {
                                           expireParkedGrants(req_key);
@@ -379,7 +396,7 @@ HostStack::serveRead(const MemMessage &req)
 
     ResponseState rs;
     rs.data = store_->read(req.addr, req.len);
-    responses_[std::make_pair(req.src, req.id)] = std::move(rs);
+    responses_[msgKey(req.src, req.id)] = std::move(rs);
 
     // The forwarded RREQ is the implicit first grant (§3.1.1 step 4):
     // send the first chunk as soon as the DRAM read returns.
@@ -408,7 +425,7 @@ HostStack::serveRmw(const MemMessage &req)
     for (int i = 0; i < 8; ++i)
         rs.data[i] = static_cast<std::uint8_t>(result.old_value >> (8 * i));
     rs.data[8] = result.swapped ? 1 : 0;
-    responses_[std::make_pair(req.src, req.id)] = std::move(rs);
+    responses_[msgKey(req.src, req.id)] = std::move(rs);
 
     const NodeId dst = req.src;
     const MsgId id = req.id;
@@ -421,24 +438,22 @@ HostStack::serveRmw(const MemMessage &req)
 void
 HostStack::drainParkedGrants(NodeId dst, MsgId id, Picoseconds delay)
 {
-    const auto it = parked_grants_.find(std::make_pair(dst, id));
+    const auto it = parked_grants_.find(msgKey(dst, id));
     if (it == parked_grants_.end())
         return;
     // Grants that overtook this request resume in arrival order, right
     // behind the implicit first chunk (scheduled just above at the same
     // instant; same-timestamp events run in scheduling order).
-    std::vector<ParkedGrant> grants = std::move(it->second);
+    std::vector<ParkedGrant> grants = std::move(it->second.grants);
+    const EventId sweep = it->second.sweep;
     parked_grants_.erase(it);
     if (auto *log = cfg_.event_log) {
         for (const ParkedGrant &g : grants)
             log->log(trace::EventType::GrantDrained, events_.now(), id_,
                      id_, dst, id, true, trace::Detail::None, g.size);
     }
-    const auto sweep = parked_sweeps_.find(std::make_pair(dst, id));
-    if (sweep != parked_sweeps_.end()) {
-        events_.cancel(sweep->second);
-        parked_sweeps_.erase(sweep);
-    }
+    if (sweep != kInvalidEvent)
+        events_.cancel(sweep);
     events_.scheduleAfter(delay,
                           [this, dst, id, grants = std::move(grants)] {
                               for (const ParkedGrant &g : grants)
@@ -447,18 +462,18 @@ HostStack::drainParkedGrants(NodeId dst, MsgId id, Picoseconds delay)
 }
 
 void
-HostStack::expireParkedGrants(std::pair<NodeId, MsgId> key)
+HostStack::expireParkedGrants(MsgKey key)
 {
-    parked_sweeps_.erase(key); // this firing was the pending sweep
     const auto it = parked_grants_.find(key);
     if (it == parked_grants_.end())
         return;
+    it->second.sweep = kInvalidEvent; // this firing was the pending sweep
     // Grants sit in arrival order, so timestamps are monotonic: expire
     // the prefix this sweep's deadline covers, then re-arm for the
     // oldest survivor so every grant still gets its exact
     // parked_at + timeout deadline from one pending event per key.
     const Picoseconds cutoff = events_.now() - cfg_.parked_grant_timeout;
-    auto &grants = it->second;
+    auto &grants = it->second.grants;
     std::size_t expired = 0;
     while (expired < grants.size() &&
            grants[expired].parked_at <= cutoff)
@@ -468,12 +483,12 @@ HostStack::expireParkedGrants(std::pair<NodeId, MsgId> key)
         if (auto *log = cfg_.event_log) {
             for (std::size_t i = 0; i < expired; ++i)
                 log->log(trace::EventType::GrantDropped, events_.now(),
-                         id_, id_, key.first, key.second, true,
+                         id_, id_, peerOf(key), idOf(key), true,
                          trace::Detail::ParkedExpired, grants[i].size);
         }
         EDM_WARN("host %u: dropped %zu orphaned parked grant(s) dst=%u "
                  "id=%u",
-                 id_, expired, key.first, key.second);
+                 id_, expired, peerOf(key), idOf(key));
         grants.erase(grants.begin(),
                      grants.begin() + static_cast<std::ptrdiff_t>(expired));
     }
@@ -481,7 +496,7 @@ HostStack::expireParkedGrants(std::pair<NodeId, MsgId> key)
         parked_grants_.erase(it);
         return;
     }
-    parked_sweeps_[key] =
+    it->second.sweep =
         events_.schedule(grants.front().parked_at +
                              cfg_.parked_grant_timeout,
                          [this, key] { expireParkedGrants(key); });
@@ -491,19 +506,26 @@ void
 HostStack::onUplinkDisabled()
 {
     uplink_disabled_ = true;
-    for (const auto &[key, grants] : parked_grants_) {
-        stats_.parked_grants_dropped += grants.size();
+    // Drop in ascending (dst, id) order: the hash table's iteration
+    // order must not reach the event log or the event queue.
+    std::vector<MsgKey> keys;
+    keys.reserve(parked_grants_.size());
+    for (const auto &entry : parked_grants_)
+        keys.push_back(entry.first);
+    std::sort(keys.begin(), keys.end());
+    for (const MsgKey key : keys) {
+        const ParkedGrants &parked = parked_grants_.find(key)->second;
+        stats_.parked_grants_dropped += parked.grants.size();
         if (auto *log = cfg_.event_log) {
-            for (const ParkedGrant &g : grants)
+            for (const ParkedGrant &g : parked.grants)
                 log->log(trace::EventType::GrantDropped, events_.now(),
-                         id_, id_, key.first, key.second, true,
+                         id_, id_, peerOf(key), idOf(key), true,
                          trace::Detail::UplinkDown, g.size);
         }
+        if (parked.sweep != kInvalidEvent)
+            events_.cancel(parked.sweep);
     }
     parked_grants_.clear();
-    for (const auto &[key, ev] : parked_sweeps_)
-        events_.cancel(ev);
-    parked_sweeps_.clear();
 }
 
 void
@@ -530,8 +552,7 @@ HostStack::serveWrite(const MemMessage &chunk)
 void
 HostStack::sendResponseChunk(NodeId dst, MsgId id, Bytes chunk)
 {
-    const auto key = std::make_pair(dst, id);
-    auto it = responses_.find(key);
+    auto it = responses_.find(msgKey(dst, id));
     if (it == responses_.end()) {
         ++stats_.stale_response_grants;
         if (auto *log = cfg_.event_log)
@@ -563,8 +584,7 @@ HostStack::sendResponseChunk(NodeId dst, MsgId id, Bytes chunk)
 void
 HostStack::sendWriteChunk(NodeId dst, MsgId id, Bytes chunk)
 {
-    const auto key = std::make_pair(dst, id);
-    auto it = requests_.find(key);
+    auto it = requests_.find(msgKey(dst, id));
     EDM_ASSERT(it != requests_.end(), "write grant without state");
     RequestState &st = it->second;
     const Bytes n = std::min<Bytes>(chunk, st.total - st.done);
@@ -598,8 +618,7 @@ HostStack::sendWriteChunk(NodeId dst, MsgId id, Bytes chunk)
 void
 HostStack::completeRead(const MemMessage &chunk)
 {
-    const auto key = std::make_pair(chunk.src, chunk.id);
-    auto it = requests_.find(key);
+    auto it = requests_.find(msgKey(chunk.src, chunk.id));
     if (it == requests_.end())
         return; // timed out earlier; drop late data (§3.3)
     RequestState &st = it->second;
@@ -645,8 +664,7 @@ HostStack::completeRead(const MemMessage &chunk)
 void
 HostStack::onReadTimeout(NodeId dst, MsgId id)
 {
-    const auto key = std::make_pair(dst, id);
-    auto it = requests_.find(key);
+    auto it = requests_.find(msgKey(dst, id));
     if (it == requests_.end())
         return;
     ++stats_.read_timeouts;
@@ -669,10 +687,10 @@ HostStack::onReadTimeout(NodeId dst, MsgId id)
 
 void
 HostStack::recoverLostRead(
-    std::map<std::pair<NodeId, MsgId>, RequestState>::iterator it)
+    std::unordered_map<MsgKey, RequestState>::iterator it)
 {
-    const NodeId dst = it->first.first;
-    const MsgId id = it->first.second;
+    const NodeId dst = peerOf(it->first);
+    const MsgId id = idOf(it->first);
     RequestState &st = it->second;
     if (st.timeout != kInvalidEvent) {
         events_.cancel(st.timeout);
@@ -728,7 +746,7 @@ HostStack::onFlowAborted(NodeId mem_node, MsgId id)
     // retry budget the legacy NULL path stays the only authority.
     if (cfg_.read_retry_limit <= 0)
         return;
-    auto it = requests_.find(std::make_pair(mem_node, id));
+    auto it = requests_.find(msgKey(mem_node, id));
     if (it == requests_.end() || it->second.type != MemMsgType::RREQ)
         return; // RMW is not idempotent — its timeout decides alone
     it->second.data.clear();
@@ -740,8 +758,7 @@ void
 HostStack::notifyWriteDelivered(NodeId mem_node, MsgId id,
                                 Picoseconds delivered_at)
 {
-    const auto key = std::make_pair(mem_node, id);
-    auto it = requests_.find(key);
+    auto it = requests_.find(msgKey(mem_node, id));
     if (it == requests_.end())
         return;
     const Picoseconds latency = delivered_at - it->second.posted;

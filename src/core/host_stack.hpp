@@ -14,11 +14,10 @@
 #define EDM_CORE_HOST_STACK_HPP
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
@@ -273,14 +272,43 @@ class HostStack
     MessageAssembler assembler_;
     hw::CdcFifo<ControlInfo> grant_queue_;
 
-    std::map<std::pair<NodeId, MsgId>, RequestState> requests_;
-    std::map<std::pair<NodeId, MsgId>, ResponseState> responses_;
+    /**
+     * Per-message state is keyed by the packed (peer, 8-bit id) — the
+     * index a hardware message table would use. Ordered iteration is
+     * never needed on the per-op path; the one sweep whose order
+     * reaches the event log (onUplinkDisabled) sorts its keys.
+     */
+    using MsgKey = std::uint32_t;
+
+    static MsgKey
+    msgKey(NodeId peer, MsgId id)
+    {
+        return (static_cast<MsgKey>(peer) << 8) | id;
+    }
+
+    static NodeId peerOf(MsgKey key) { return static_cast<NodeId>(key >> 8); }
+    static MsgId idOf(MsgKey key) { return static_cast<MsgId>(key & 0xFF); }
+
+    std::unordered_map<MsgKey, RequestState> requests_;
+    std::unordered_map<MsgKey, ResponseState> responses_;
 
     /** A grant waiting for the request it outran. */
     struct ParkedGrant
     {
         Bytes size = 0;
         Picoseconds parked_at = 0;
+    };
+
+    /**
+     * Grants parked under one (dst, id), plus that key's pending expiry
+     * sweep. One sweep is pending per key, not per grant: armed on the
+     * empty→non-empty transition, re-armed by the sweep for the oldest
+     * survivor, cancelled when the drain consumes the key.
+     */
+    struct ParkedGrants
+    {
+        std::vector<ParkedGrant> grants; ///< arrival order
+        EventId sweep = kInvalidEvent;
     };
 
     /**
@@ -293,22 +321,28 @@ class HostStack
      * orphaned grant can never outlive its flow and leak into a reused
      * (dst, id).
      */
-    std::map<std::pair<NodeId, MsgId>, std::vector<ParkedGrant>>
-        parked_grants_;
-
-    /**
-     * One pending expiry sweep per parked key (not per grant): armed on
-     * the empty→non-empty transition, re-armed by the sweep for the
-     * oldest survivor, cancelled when the drain consumes the key.
-     */
-    std::map<std::pair<NodeId, MsgId>, EventId> parked_sweeps_;
+    std::unordered_map<MsgKey, ParkedGrants> parked_grants_;
 
     /** Uplink dead (§3.3): grants can never be answered again. */
     bool uplink_disabled_ = false;
 
-    std::map<NodeId, int> outstanding_;          ///< active per dst (≤ X)
-    std::map<NodeId, std::deque<PendingRequest>> parked_;
-    std::map<NodeId, std::uint8_t> next_id_;
+    /**
+     * Per-destination send state, indexed by NodeId. Every member is
+     * allocation-free until the first send to that peer parks.
+     */
+    struct PeerState
+    {
+        /** Sends waiting for a slot or a free id; FIFO from parked_head. */
+        std::vector<PendingRequest> parked;
+        std::uint32_t parked_head = 0;
+        int outstanding = 0;      ///< active requests (≤ X)
+        std::uint8_t next_id = 0; ///< 8-bit id of the next launch
+
+        bool hasParked() const { return parked_head < parked.size(); }
+        std::size_t parkedCount() const { return parked.size() - parked_head; }
+        PendingRequest popParked();
+    };
+    std::vector<PeerState> peers_;
 
     std::unique_ptr<mem::Dram> dram_;
     std::unique_ptr<mem::BackingStore> store_;
@@ -336,14 +370,14 @@ class HostStack
     void serveWrite(const MemMessage &chunk);
     void serveRmw(const MemMessage &req);
     void drainParkedGrants(NodeId dst, MsgId id, Picoseconds delay);
-    void expireParkedGrants(std::pair<NodeId, MsgId> key);
+    void expireParkedGrants(MsgKey key);
     void sendResponseChunk(NodeId dst, MsgId id, Bytes chunk);
     void sendWriteChunk(NodeId dst, MsgId id, Bytes chunk);
     void completeRead(const MemMessage &chunk);
     void onReadTimeout(NodeId dst, MsgId id);
     /** Retry-or-abandon a lost read; @p it must point into requests_. */
-    void recoverLostRead(std::map<std::pair<NodeId, MsgId>,
-                                  RequestState>::iterator it);
+    void recoverLostRead(
+        std::unordered_map<MsgKey, RequestState>::iterator it);
 };
 
 } // namespace core

@@ -15,7 +15,8 @@ Scheduler::Scheduler(const EdmConfig &cfg, EventQueue &events,
                      std::uint16_t leaf)
     : cfg_(cfg), events_(events), sink_(std::move(sink)), topo_(topo),
       leaf_(leaf), dst_hi_(static_cast<NodeId>(cfg.num_nodes)),
-      src_busy_(cfg.num_nodes, false), dst_busy_(cfg.num_nodes, false)
+      src_busy_(cfg.num_nodes, false), dst_busy_(cfg.num_nodes, false),
+      winner_by_src_(cfg.num_nodes, -1)
 {
     EDM_ASSERT(sink_, "scheduler needs a grant sink");
     const std::size_t cap =
@@ -149,7 +150,7 @@ void
 Scheduler::openLedgerEntry(const Demand &d)
 {
     const FlowKey key = keyOf(d);
-    auto [it, inserted] = ledger_.try_emplace(key);
+    auto [it, inserted] = ledger_.try_emplace(key.packed());
     if (!inserted) {
         // Message-id reuse before the previous flow retired (a wrapped
         // 8-bit id, or a flow whose completion was never observed). The
@@ -186,7 +187,7 @@ Scheduler::insertDemand(Demand d)
         d.pool = fair_tree_->poolOf(
             static_cast<std::uint16_t>(d.response ? d.dst : d.src));
     const std::int64_t prio = priorityOf(d);
-    const auto pair_key = std::make_pair(d.src, d.dst);
+    const std::uint32_t pair_key = pairKey(d.src, d.dst);
     const std::uint64_t seq = d.seq;
     openLedgerEntry(d);
     const bool inserted = q.insert(prio, std::move(d));
@@ -246,7 +247,7 @@ Scheduler::avgIterations() const
 bool
 Scheduler::isPairHead(const Demand &d) const
 {
-    auto it = pairs_.find(std::make_pair(d.src, d.dst));
+    auto it = pairs_.find(pairKey(d.src, d.dst));
     if (it == pairs_.end() || it->second.empty())
         return false;
     return it->second.front() == d.seq;
@@ -255,7 +256,7 @@ Scheduler::isPairHead(const Demand &d) const
 void
 Scheduler::retirePairEntry(const Demand &d)
 {
-    auto it = pairs_.find(std::make_pair(d.src, d.dst));
+    auto it = pairs_.find(pairKey(d.src, d.dst));
     EDM_ASSERT(it != pairs_.end(), "retiring unknown pair entry");
     auto &v = it->second;
     auto pos = std::find(v.begin(), v.end(), d.seq);
@@ -300,19 +301,8 @@ Scheduler::runMatching()
         // demand of its most deserving pool (latency-sensitive pools
         // bypass, the rest in virtual-time order, limit-capped pools
         // sit out the window).
-        struct Candidate
-        {
-            NodeId dst;
-            NodeId src;
-            std::uint64_t seq;
-            std::int64_t prio;
-            int pool = -1;
-            bool bypass = false;
-            double vt = 0.0;
-            /** Bypass out-ranked a competing non-bypass demand. */
-            bool bypass_decided = false;
-        };
-        std::vector<Candidate> candidates;
+        std::vector<Candidate> &candidates = candidates_;
+        candidates.clear();
         for (NodeId d = dst_lo_; d < dst_hi_; ++d) {
             if (dst_busy_[d])
                 continue;
@@ -433,14 +423,15 @@ Scheduler::runMatching()
         // Phase 2 (grant/accept): each source accepts its highest-priority
         // request (the single-cycle priority-encoder step). Under fair
         // share the same bypass-then-virtual-time order decides.
-        std::map<NodeId, Candidate> winner_by_src;
+        winners_.clear();
         for (const auto &c : candidates) {
-            auto it = winner_by_src.find(c.src);
-            if (it == winner_by_src.end()) {
-                winner_by_src[c.src] = c;
+            int &slot = winner_by_src_[c.src];
+            if (slot < 0) {
+                slot = static_cast<int>(winners_.size());
+                winners_.push_back(c);
                 continue;
             }
-            Candidate &w = it->second;
+            Candidate &w = winners_[static_cast<std::size_t>(slot)];
             if (!fair_tree_) {
                 if (c.prio > w.prio)
                     w = c;
@@ -465,8 +456,16 @@ Scheduler::runMatching()
             }
         }
 
-        // Phase 3 (update): issue grants, mark ports busy.
-        for (auto &[src, c] : winner_by_src) {
+        // Phase 3 (update): issue grants, mark ports busy — in
+        // ascending src order, which fixes the order grants reach the
+        // event queue and the log.
+        for (const Candidate &w : winners_)
+            winner_by_src_[w.src] = -1;
+        std::sort(winners_.begin(), winners_.end(),
+                  [](const Candidate &a, const Candidate &b) {
+                      return a.src < b.src;
+                  });
+        for (const Candidate &c : winners_) {
             Queue &q = *queues_[c.dst];
             // Extract the demand, grant a chunk, reinsert if unfinished.
             Demand granted{};
@@ -516,7 +515,7 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
     const Bytes l = std::min<Bytes>(cfg_.chunk_bytes, d.remaining);
     EDM_ASSERT(l > 0, "granting zero bytes");
 
-    auto ledger_it = ledger_.find(keyOf(d));
+    auto ledger_it = ledger_.find(keyOf(d).packed());
     if (cfg_.strict_grant_accounting && ledger_it == ledger_.end()) {
         // The flow retired (final /MT/ observed, or its sender's link
         // died) while this demand was still queued: granting it would
@@ -685,7 +684,7 @@ Scheduler::onChunkForwarded(NodeId src, NodeId dst, MsgId id,
 {
     ++ledger_stats_.chunks_observed;
     const FlowKey key{src, dst, id, response};
-    auto it = ledger_.find(key);
+    auto it = ledger_.find(key.packed());
     if (it == ledger_.end())
         return; // flow already retired, or never tracked (evicted id)
     it->second.observed += bytes;
@@ -707,7 +706,7 @@ Scheduler::onChunkForwarded(NodeId src, NodeId dst, MsgId id,
 std::optional<Scheduler::FlowBytes>
 Scheduler::flowBytes(const FlowKey &key) const
 {
-    const auto it = ledger_.find(key);
+    const auto it = ledger_.find(key.packed());
     if (it == ledger_.end())
         return std::nullopt;
     return it->second;
@@ -716,20 +715,26 @@ Scheduler::flowBytes(const FlowKey &key) const
 void
 Scheduler::abortPort(NodeId port)
 {
+    // Sweep the port's flows in ascending FlowKey order: the hash
+    // table's iteration order must not reach the log, the queues or
+    // the abort sink.
+    std::vector<std::uint64_t> swept;
+    for (const auto &entry : ledger_) {
+        if (FlowKey::unpack(entry.first).src == port)
+            swept.push_back(entry.first);
+    }
+    std::sort(swept.begin(), swept.end());
     std::vector<FlowKey> aborted;
-    for (auto it = ledger_.begin(); it != ledger_.end();) {
-        if (it->first.src != port) {
-            ++it;
-            continue;
-        }
-        const FlowKey key = it->first;
+    for (const std::uint64_t packed : swept) {
+        const auto it = ledger_.find(packed);
+        const FlowKey key = FlowKey::unpack(packed);
         const Bytes stale = it->second.demanded - it->second.observed;
         // The aborted flow's never-granted bytes leave the pool's
         // backlog with it — a storm must not inflate a tenant's
         // apparent demand (and so deflate everyone else's share)
         // with demand nobody can serve anymore.
         releaseLedgerBacklog(key, it->second);
-        it = ledger_.erase(it);
+        ledger_.erase(it);
         ++ledger_stats_.retired_by_abort;
         if (auto *log = cfg_.event_log)
             log->log(trace::EventType::LedgerAbort, events_.now(), port,

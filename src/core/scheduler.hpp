@@ -32,9 +32,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
@@ -86,16 +86,26 @@ struct FlowKey
     MsgId id = 0;
     bool response = false; ///< RRES flow (read/RMW response data)
 
-    bool
-    operator<(const FlowKey &o) const
+    /**
+     * The key as one integer (src, dst, id, response — 16 + 16 + 8 + 1
+     * bits). Numeric order is lexicographic field order, the order
+     * abortPort sweeps in.
+     */
+    std::uint64_t
+    packed() const
     {
-        if (src != o.src)
-            return src < o.src;
-        if (dst != o.dst)
-            return dst < o.dst;
-        if (id != o.id)
-            return id < o.id;
-        return response < o.response;
+        return (static_cast<std::uint64_t>(src) << 25) |
+            (static_cast<std::uint64_t>(dst) << 9) |
+            (static_cast<std::uint64_t>(id) << 1) |
+            static_cast<std::uint64_t>(response);
+    }
+
+    static FlowKey
+    unpack(std::uint64_t k)
+    {
+        return FlowKey{static_cast<NodeId>(k >> 25),
+                       static_cast<NodeId>((k >> 9) & 0xFFFF),
+                       static_cast<MsgId>((k >> 1) & 0xFF), (k & 1) != 0};
     }
 };
 
@@ -371,17 +381,30 @@ class Scheduler
 
     std::array<std::uint64_t, kNumLinkTiers> tier_charged_ps_{};
 
-    /** Earliest live seq per (src,dst) pair, for in-order service. */
-    std::map<std::pair<NodeId, NodeId>, std::vector<std::uint64_t>> pairs_;
+    /**
+     * Live seqs per (src,dst) pair in issue order, for in-order
+     * service; keyed by pairKey(). Entries exist only while the pair
+     * has queued demand, so the table stays O(queued demands), never
+     * O(N²).
+     */
+    std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> pairs_;
+
+    static std::uint32_t
+    pairKey(NodeId src, NodeId dst)
+    {
+        return (static_cast<std::uint32_t>(src) << 16) | dst;
+    }
 
     /**
      * Live demand lifecycles. An entry exists from demand registration
      * until retirement (observed final chunk or fault abort) — a flow
      * whose completion the datapath never reports stays resident, which
      * is exactly the stranded-flow diagnostic pendingLedgerEntries()
-     * and the incast stress report as "stranded".
+     * and the incast stress report as "stranded". Keyed by
+     * FlowKey::packed(); the one sweep whose order is observable
+     * (abortPort) sorts its keys.
      */
-    std::map<FlowKey, LedgerEntry> ledger_;
+    std::unordered_map<std::uint64_t, LedgerEntry> ledger_;
     LedgerStats ledger_stats_;
 
     std::uint64_t next_seq_ = 0;
@@ -398,6 +421,26 @@ class Scheduler
 
     /** Scratch for FairShareTree::recomputeShares (avoids churn). */
     std::vector<FairShareTree::ShareChange> share_changes_;
+
+    /** A destination port's proposal in one PIM iteration. */
+    struct Candidate
+    {
+        NodeId dst;
+        NodeId src;
+        std::uint64_t seq;
+        std::int64_t prio;
+        int pool = -1;
+        bool bypass = false;
+        double vt = 0.0;
+        /** Bypass out-ranked a competing non-bypass demand. */
+        bool bypass_decided = false;
+    };
+
+    /** runMatching scratch, reused across iterations and passes. */
+    std::vector<Candidate> candidates_;
+    std::vector<Candidate> winners_; ///< one per src, granted by src
+    /** Index into winners_ per src port (-1 = none this iteration). */
+    std::vector<int> winner_by_src_;
 
     std::int64_t priorityOf(const Demand &d) const;
     bool insertDemand(Demand d);

@@ -186,23 +186,62 @@ TEST(Fabric, ManyOutstandingRequestsComplete)
 
 TEST(Fabric, PerDestinationCapParksExcessRequests)
 {
-    // X = 3 active requests per destination (§3.1.2): 10 posted reads
-    // still all complete, in order.
+    // X = 3 active requests per destination (§3.1.2): 150 reads posted
+    // to each of two memory nodes, interleaved, still all complete, in
+    // post order per destination — the backlog stays non-empty far
+    // longer than X completions. The cap is per destination, so one
+    // node's backlog never holds back the other's sends.
+    constexpr int kReads = 150;
     Simulation sim;
-    EdmConfig cfg = testbedConfig();
+    EdmConfig cfg = testbedConfig(3);
     cfg.max_notifications = 3;
-    CycleFabric fab(cfg, sim, {1});
-    std::vector<int> order;
-    for (int i = 0; i < 10; ++i) {
-        fab.read(0, 1, 0x100, 64,
-                 [&, i](std::vector<std::uint8_t>, Picoseconds, bool) {
-                     order.push_back(i);
-                 });
+    CycleFabric fab(cfg, sim, {1, 2});
+    std::vector<int> order[2];
+    std::vector<Picoseconds> done_at[2];
+    for (int i = 0; i < kReads; ++i) {
+        for (NodeId dst : {NodeId{1}, NodeId{2}}) {
+            const std::size_t k = dst - 1u;
+            fab.read(0, dst, 0x100, 64,
+                     [&, i, k](std::vector<std::uint8_t>, Picoseconds,
+                               bool) {
+                         order[k].push_back(i);
+                         done_at[k].push_back(sim.now());
+                     });
+        }
     }
     sim.run();
-    ASSERT_EQ(order.size(), 10u);
-    for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    for (std::size_t k = 0; k < 2; ++k) {
+        ASSERT_EQ(order[k].size(), static_cast<std::size_t>(kReads));
+        for (int i = 0; i < kReads; ++i)
+            EXPECT_EQ(order[k][static_cast<std::size_t>(i)], i);
+    }
+    // Each destination's first three reads launch at once; its fourth
+    // waits for a slot. With a shared cap, node 2's first read would
+    // queue behind node 1's backlog instead.
+    EXPECT_LT(done_at[1][0], done_at[0][3]);
+    EXPECT_LT(done_at[0][0], done_at[1][3]);
+
+    // A destination whose slots are all taken parks its excess while a
+    // read to the other node, posted after all of them, goes straight
+    // out.
+    Simulation sim2;
+    CycleFabric fab2(cfg, sim2, {1, 2});
+    std::vector<Picoseconds> full_done;
+    Picoseconds other_done = 0;
+    for (int i = 0; i < 10; ++i) {
+        fab2.read(0, 1, 0x100, 64,
+                  [&](std::vector<std::uint8_t>, Picoseconds, bool) {
+                      full_done.push_back(sim2.now());
+                  });
+    }
+    fab2.read(0, 2, 0x100, 64,
+              [&](std::vector<std::uint8_t>, Picoseconds, bool) {
+                  other_done = sim2.now();
+              });
+    sim2.run();
+    ASSERT_EQ(full_done.size(), 10u);
+    EXPECT_GT(other_done, 0);
+    EXPECT_LT(other_done, full_done[3]);
 }
 
 TEST(Fabric, ReadTimeoutYieldsNullResponse)

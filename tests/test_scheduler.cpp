@@ -137,13 +137,22 @@ TEST(Scheduler, DisjointPairsGrantInParallel)
 {
     Simulation sim;
     GrantLog log;
-    Scheduler sched(makeConfig(4, 256), sim.events(), log.sink(sim));
-    sched.addWriteDemand(notify(0, 1, 1, 256));
+    Scheduler sched(makeConfig(6, 256), sim.events(), log.sink(sim));
+    // Three port-disjoint pairs, posted out of src order; their
+    // destinations run opposite to their sources.
     sched.addWriteDemand(notify(2, 3, 1, 256));
+    sched.addWriteDemand(notify(4, 1, 1, 256));
+    sched.addWriteDemand(notify(0, 5, 1, 256));
     sim.run();
-    ASSERT_EQ(log.grants.size(), 2u);
+    ASSERT_EQ(log.grants.size(), 3u);
     // Disjoint port pairs form one matching: same grant instant.
     EXPECT_EQ(log.grants[0].first, log.grants[1].first);
+    EXPECT_EQ(log.grants[1].first, log.grants[2].first);
+    // One iteration's winners are granted in ascending src order,
+    // whatever the post order or the destinations' order.
+    EXPECT_EQ(log.grants[0].second.target, 0);
+    EXPECT_EQ(log.grants[1].second.target, 2);
+    EXPECT_EQ(log.grants[2].second.target, 4);
 }
 
 TEST(Scheduler, SrptPrefersShorterMessage)

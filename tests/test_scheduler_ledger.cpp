@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -24,6 +26,7 @@
 #include "core/scheduler.hpp"
 #include "core/wire.hpp"
 #include "sim/simulation.hpp"
+#include "trace/event_log.hpp"
 
 namespace edm {
 namespace core {
@@ -569,31 +572,128 @@ TEST(SchedulerLedger, UplinkDisableDropsParkedGrants)
 {
     // With expiry disabled, the fault hook alone must reap parked
     // grants on a node whose uplink died — it can never answer them.
+    trace::EventLog log;
     EdmConfig cfg;
     cfg.strict_grant_accounting = true;
     cfg.parked_grant_timeout = 0;
+    cfg.event_log = &log;
     Simulation sim;
     HostStack host(0, cfg, sim.events(), /*has_memory=*/true, [] {});
 
+    // Park grants under three (dst, id) keys, arriving out of key
+    // order, one key twice.
+    const std::pair<NodeId, MsgId> arrivals[] = {
+        {1, 9}, {3, 5}, {1, 5}, {3, 5}};
+    for (const auto &[dst, id] : arrivals) {
+        ControlInfo g;
+        g.dst = dst;
+        g.src = 0;
+        g.id = id;
+        g.size = 256;
+        g.response = true;
+        host.rxBlock(makeGrant(g));
+    }
+    sim.run();
+    EXPECT_EQ(host.stats().grants_parked, 4u);
+    log.clear();
+    host.onUplinkDisabled();
+    EXPECT_EQ(host.stats().parked_grants_dropped, 4u);
+
+    // Dropped in ascending (dst, id) order, each key's grants in
+    // arrival order.
+    std::vector<std::pair<NodeId, MsgId>> dropped;
+    for (const trace::Record &r : log.snapshot()) {
+        ASSERT_EQ(r.eventType(), trace::EventType::GrantDropped);
+        EXPECT_EQ(r.detailCode(), trace::Detail::UplinkDown);
+        dropped.emplace_back(r.dst, r.id);
+    }
+    const std::vector<std::pair<NodeId, MsgId>> expected = {
+        {1, 5}, {1, 9}, {3, 5}, {3, 5}};
+    EXPECT_EQ(dropped, expected);
+
+    // A grant that slips in over the still-working downlink after the
+    // disable is dropped outright, never parked.
     ControlInfo g;
     g.dst = 1;
     g.src = 0;
-    g.id = 5;
+    g.id = 6;
     g.size = 256;
     g.response = true;
     host.rxBlock(makeGrant(g));
     sim.run();
-    EXPECT_EQ(host.stats().grants_parked, 1u);
-    host.onUplinkDisabled();
-    EXPECT_EQ(host.stats().parked_grants_dropped, 1u);
+    EXPECT_EQ(host.stats().grants_parked, 4u);
+    EXPECT_EQ(host.stats().parked_grants_dropped, 5u);
+}
 
-    // A grant that slips in over the still-working downlink after the
-    // disable is dropped outright, never parked.
-    g.id = 6;
-    host.rxBlock(makeGrant(g));
+TEST(SchedulerLedger, AbortPortSweepsFlowsInKeyOrder)
+{
+    // abortPort retires every flow whose data sender is the dead port.
+    // Its LedgerAbort records and abort-sink calls follow ascending
+    // FlowKey order (src, dst, id, direction), whatever order the
+    // demands arrived in.
+    trace::EventLog log;
+    EdmConfig cfg;
+    cfg.num_nodes = 5;
+    cfg.strict_grant_accounting = true;
+    cfg.event_log = &log;
+    Simulation sim;
+    int granted = 0;
+    Scheduler sched(cfg, sim.events(),
+                    [&](const GrantAction &) { ++granted; });
+    std::vector<FlowKey> sunk;
+    sched.setAbortSink([&](const FlowKey &k) { sunk.push_back(k); });
+
+    auto write = [&](NodeId src, NodeId dst, MsgId id) {
+        ControlInfo n;
+        n.src = src;
+        n.dst = dst;
+        n.id = id;
+        n.size = 4096;
+        ASSERT_TRUE(sched.addWriteDemand(n));
+    };
+    auto read = [&](NodeId reader, NodeId mem, MsgId id) {
+        MemMessage req;
+        req.type = MemMsgType::RREQ;
+        req.src = reader;
+        req.dst = mem;
+        req.id = id;
+        req.len = 4096;
+        ASSERT_TRUE(sched.addReadDemand(req, 4096));
+    };
+    // Five live flows sent by port 2 (mixed dst, id and direction —
+    // (2, 0, 3) in both directions), plus one it does not send.
+    write(2, 4, 1);
+    read(0, 2, 3);
+    write(2, 0, 9);
+    write(1, 3, 7);
+    read(4, 2, 0);
+    write(2, 0, 3);
+    ASSERT_EQ(sched.pendingLedgerEntries(), 6u);
+
+    log.clear();
+    sched.abortPort(2);
+    EXPECT_EQ(sched.pendingLedgerEntries(), 1u);
+    EXPECT_EQ(sched.ledgerStats().retired_by_abort, 5u);
+
+    const std::vector<std::tuple<NodeId, NodeId, MsgId, bool>> expected = {
+        {2, 0, 3, false}, {2, 0, 3, true}, {2, 0, 9, false},
+        {2, 4, 0, true},  {2, 4, 1, false}};
+    std::vector<std::tuple<NodeId, NodeId, MsgId, bool>> records;
+    for (const trace::Record &r : log.snapshot()) {
+        if (r.eventType() == trace::EventType::LedgerAbort)
+            records.emplace_back(r.src, r.dst, r.id, r.response());
+    }
+    EXPECT_EQ(records, expected);
+    std::vector<std::tuple<NodeId, NodeId, MsgId, bool>> sunk_keys;
+    for (const FlowKey &k : sunk)
+        sunk_keys.emplace_back(k.src, k.dst, k.id, k.response);
+    EXPECT_EQ(sunk_keys, expected);
+
+    // Strict mode reclaimed the aborted demands: only 1->3 is granted.
     sim.run();
-    EXPECT_EQ(host.stats().grants_parked, 1u);
-    EXPECT_EQ(host.stats().parked_grants_dropped, 2u);
+    EXPECT_EQ(sched.pendingDemands(), 0u);
+    EXPECT_GT(granted, 0);
+    EXPECT_EQ(sched.ledgerStats().grants_suppressed, 0u);
 }
 
 TEST(SchedulerLedger, RepairReopensLedgerAndRegrants)
