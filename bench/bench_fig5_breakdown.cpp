@@ -1,8 +1,9 @@
 /**
  * @file
  * Reproduces **Figure 5**: cycle-by-cycle latency breakdown of EDM's
- * network fabric for a 64 B read and write (one clock cycle = 2.56 ns),
- * cross-checked against the cycle simulator's stage accounting.
+ * network fabric for a 64 B read and write (one clock cycle = 2.56 ns).
+ * It prints the analytic model (analytic/latency_model.*) only; the
+ * cycle simulator has no per-stage accounting to compare it with yet.
  */
 
 #include <cstdio>
@@ -26,7 +27,7 @@ printBreakdown(bool read)
         total += s.cycles;
     }
     // Standard PCS pipeline crossings (2 cycles each end per traversal).
-    const int crossings = read ? 8 : 8;
+    const int crossings = 8;
     std::printf("  %-12s %-48s %2d cycles (%5.2f ns)\n", "all",
                 "standard PCS encode/scramble + descramble/decode",
                 crossings * 2, crossings * 2 * toNs(kPcsBlockSlot));

@@ -13,18 +13,17 @@
  * exactly the demand ledger this scheduler already maintains.
  *
  * One tree per scheduler shard. All state is shard-local and advanced
- * only from scheduler code running inside that shard's partition, so
- * the parallel engine's bit-exactness story is unchanged; the only
- * cross-shard traffic is the fixed-latency trunk coordination note,
- * which now carries the granting pool's id and line-time charge so a
- * client's home shard sees its tenants' cross-leaf consumption too.
+ * only by that shard's scheduler; the only cross-shard traffic is the
+ * fixed-latency trunk coordination note, which carries the granting
+ * pool's id and line-time charge so a client's home shard sees its
+ * tenants' cross-leaf consumption too.
  *
  * Determinism rules (pinned by tests/test_fair_share.cpp):
  *  - shares are recomputed from pool demand only, in pool-index order;
  *  - virtual time advances by charged line-time / effective share, in
  *    grant-issue order — a pure function of the event sequence;
  *  - the limit window lives on an absolute simulation-time grid, so a
- *    pool's deferral instant never depends on worker count;
+ *    pool's deferral instant depends only on simulated time;
  *  - a pool waking from idle is capped to the minimum active virtual
  *    time (no credit hoarding, no dependence on idle wall-time).
  */

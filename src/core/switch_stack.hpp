@@ -207,11 +207,12 @@ class SwitchStack
     /**
      * Deepest combined egress staging observed on any port: circuit
      * staging (blocks parked awaiting stream ownership) plus the
-     * egress mux's memory backlog, sampled at every push so the value
-     * is a depth that really occurred. The mux backlog includes blocks
-     * a train handed over early with future availability stamps, so
-     * compare runs at the same max_train_blocks. This is the quantity
-     * the wire-occupancy model's per-chunk growth estimate
+     * egress mux's memory backlog, sampled at every push. The mux
+     * backlog includes blocks a train handed over early with future
+     * availability stamps, so the value depends on max_train_blocks —
+     * the one train-dependent metric (ROADMAP's train-invariant
+     * measurement item); compare runs at the same cap. This is the
+     * quantity the wire-occupancy model's per-chunk growth estimate
      * (core::stagingGrowthBlocksPerChunk) predicts — legacy payload
      * charging under-reserves every chunk and the peak climbs with the
      * grant count; wire-charged occupancy keeps it near one chunk per
@@ -294,10 +295,9 @@ class SwitchStack
         /**
          * High-water mark of the *combined* egress staging depth —
          * circuit-staged blocks plus the egress mux's memory backlog,
-         * sampled at every push — so it is a depth that actually
-         * existed at one instant (a block moving staging → mux is
-         * never double-counted: the pop decrements staged_count before
-         * the enqueue samples).
+         * sampled at every push (a block moving staging → mux is never
+         * double-counted: the pop decrements staged_count before the
+         * enqueue samples). Train-dependent: see peakEgressStaging().
          */
         std::size_t staging_peak = 0;
 

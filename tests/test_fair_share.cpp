@@ -12,15 +12,13 @@
  *  - Whole-fabric properties: fair_share=false is bit-exact with a
  *    config that has no tenants at all, scenario [tenants] parsing is
  *    hard-error strict, ScenarioRunner results are thread-count
- *    invariant, the parallel engine reproduces the serial referee's
- *    per-shard tenant state exactly, and the logged decision sequence
+ *    invariant, and the logged decision sequence
  *    (pool-share-computed / priority-bypass / grant-deferred-by-limit)
  *    is stable across reruns.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -435,6 +433,9 @@ driveIncast(CycleFabric &fab, std::size_t nodes, int chains, int rounds)
         for (int c = 0; c < chains; ++c)
             (*issue)(n, rounds);
     fab.run();
+    // The closure owns a shared_ptr to itself; break the cycle so it is
+    // freed (LeakSanitizer reports it otherwise).
+    *issue = nullptr;
 }
 
 /** Model-level digest: every latency sample plus the grant counters. */
@@ -488,74 +489,6 @@ TEST(FairShareFabric, OffIsBitExactWithUntenantedLegacy)
     EXPECT_EQ(bare.parked, tenanted.parked);
     EXPECT_EQ(bare.wasted, tenanted.wasted);
     EXPECT_EQ(bare.end, tenanted.end);
-}
-
-TEST(FairShareFabric, ParallelEngineMatchesSerialRefereeOnTenantedLeafSpine)
-{
-    // Tenanted leaf-spine with pools spanning leaves: the per-shard
-    // trees advance only inside their shard's partition and cross-leaf
-    // usage arrives via the fixed-latency coordination note, so every
-    // worker count must reproduce the serial referee bit-exactly —
-    // model observables AND each shard's per-pool tenant state.
-    constexpr std::size_t kNodes = 17;
-    const std::vector<TenantPoolSpec> pools = {
-        pool("bulk", 1, 10, 2.0),
-        pool("capped", 11, 13, 1.0, 0.0, 0.5),
-        pool("ls", 14, 16, 1.0, 0.2, 1.0, true)};
-    auto run = [&](int workers, Digest &digest,
-                   std::vector<std::uint64_t> &tenant_state) {
-        EdmConfig cfg = tenantConfig(pools, kNodes);
-        cfg.fabric_workers = workers;
-        cfg.topology.tiers = TopologySpec::Tiers::LeafSpine;
-        cfg.topology.hosts_per_leaf = 8; // 3 leaves, last ragged
-        cfg.topology.trunk_width = 2;
-        cfg.topology.ecmp_seed = 7;
-        Simulation sim(11);
-        CycleFabric fab(cfg, sim);
-        driveIncast(fab, kNodes, 2, 4);
-        digest = Digest::of(fab);
-        tenant_state.clear();
-        for (std::uint16_t leaf = 0;
-             leaf < fab.topology().numLeaves(); ++leaf) {
-            const FairShareTree *tree =
-                fab.switchAt(leaf).scheduler().fairShareTree();
-            ASSERT_NE(tree, nullptr);
-            for (std::size_t p = 0; p < tree->poolCount(); ++p) {
-                tenant_state.push_back(
-                    tree->grantedBytes(static_cast<int>(p)));
-                tenant_state.push_back(
-                    tree->grantsIssued(static_cast<int>(p)));
-                tenant_state.push_back(static_cast<std::uint64_t>(
-                    tree->demandedBacklog(static_cast<int>(p))));
-                tenant_state.push_back(static_cast<std::uint64_t>(
-                    tree->chargedLineTime(static_cast<int>(p))));
-            }
-        }
-    };
-    Digest ref;
-    std::vector<std::uint64_t> ref_state;
-    run(0, ref, ref_state);
-    ASSERT_FALSE(ref.reads.empty());
-    ASSERT_FALSE(ref_state.empty());
-    for (const int workers : {1, 2, 4}) {
-        Digest got;
-        std::vector<std::uint64_t> got_state;
-        run(workers, got, got_state);
-        const std::string what = "workers=" + std::to_string(workers);
-        // Latency sample order is partition-layout dependent; the
-        // multiset and every counter are not.
-        auto sorted = [](std::vector<double> v) {
-            std::sort(v.begin(), v.end());
-            return v;
-        };
-        EXPECT_EQ(sorted(ref.reads), sorted(got.reads)) << what;
-        EXPECT_EQ(sorted(ref.writes), sorted(got.writes)) << what;
-        EXPECT_EQ(ref.grants, got.grants) << what;
-        EXPECT_EQ(ref.parked, got.parked) << what;
-        EXPECT_EQ(ref.wasted, got.wasted) << what;
-        EXPECT_EQ(ref.end, got.end) << what;
-        EXPECT_EQ(ref_state, got_state) << what;
-    }
 }
 
 TEST(FairShareFabric, RunnerResultsAreRerunAndThreadCountInvariant)

@@ -103,7 +103,6 @@ TEST(ScenarioConfig, AppliesKnownKeys)
     EXPECT_TRUE(
         applyEdmConfigKey(cfg, "parked_grant_timeout_ns", "250", error));
     EXPECT_TRUE(applyEdmConfigKey(cfg, "max_train_blocks", "4", error));
-    EXPECT_TRUE(applyEdmConfigKey(cfg, "fabric_workers", "4", error));
     EXPECT_EQ(cfg.num_nodes, 9u);
     EXPECT_DOUBLE_EQ(cfg.link_rate.value, 25.0);
     EXPECT_EQ(cfg.priority, core::Priority::Srpt);
@@ -112,7 +111,6 @@ TEST(ScenarioConfig, AppliesKnownKeys)
     EXPECT_TRUE(cfg.charge_preemption_reentry);
     EXPECT_EQ(cfg.parked_grant_timeout, 250 * kNanosecond);
     EXPECT_EQ(cfg.max_train_blocks, 4u);
-    EXPECT_EQ(cfg.fabric_workers, 4);
 }
 
 TEST(ScenarioConfig, UnknownKeysAndBadValuesAreHardErrors)
@@ -125,6 +123,20 @@ TEST(ScenarioConfig, UnknownKeysAndBadValuesAreHardErrors)
     EXPECT_FALSE(applyEdmConfigKey(cfg, "num_nodes", "lots", error));
     error.clear();
     EXPECT_FALSE(applyEdmConfigKey(cfg, "priority", "fifo", error));
+}
+
+TEST(ScenarioConfig, RemovedEngineKeysAreUnknown)
+{
+    // The partitioned parallel engine and its two config keys are gone;
+    // old scenario files naming them must fail loudly, not run serially
+    // while pretending to honor them.
+    core::EdmConfig cfg;
+    for (const char *suffix : {"workers", "partition_map"}) {
+        const std::string key = std::string("fabric_") + suffix;
+        std::string error;
+        EXPECT_FALSE(applyEdmConfigKey(cfg, key, "2", error)) << key;
+        EXPECT_NE(error.find(key), std::string::npos) << error;
+    }
 }
 
 TEST(ScenarioSpecTest, UnknownKeysRejectedEverywhere)

@@ -143,8 +143,9 @@ awk '
         next
     }
     END {
-        printf "  %-24s %7s %8s %14s %12s\n",
-               "array", "points", "changed", "max |delta|", "max rel"
+        printf "  %-24s %7s %8s %8s %14s %12s\n",
+               "array", "points", "changed", "dropped", "max |delta|",
+               "max rel"
         for (s = 1; s <= norder; ++s) {
             n = order[s]
             changed = 0; maxd = 0; maxr = 0
@@ -158,8 +159,10 @@ awk '
                     if (r > maxr) maxr = r
                 }
             }
-            printf "  %-24s %7d %8d %14.6g %11.2f%%\n",
-                   n, newn[n], changed, maxd, maxr * 100
+            # Old points past the new length vanished from the array.
+            dropped = oldn[n] > newn[n] ? oldn[n] - newn[n] : 0
+            printf "  %-24s %7d %8d %8d %14.6g %11.2f%%\n",
+                   n, newn[n], changed, dropped, maxd, maxr * 100
         }
     }
 ' "$TMP/old.inc" "$INC"
