@@ -1,9 +1,9 @@
 /**
  * @file
  * Domain example: incast contention stress on the cycle-level fabric —
- * the regime where the legacy scheduler over-grants.
+ * the over-grant regime, where grants outrun their forwarded requests.
  *
- * Two sweeps, each run in three scheduler modes:
+ * Two sweeps, each run in two port-charging modes:
  *
  *   N-to-1      fan-in senders hammer one memory node with closed-loop
  *               mixed 900 B reads / 700 B writes. Read-request forwards
@@ -18,23 +18,19 @@
  *
  * The modes:
  *
- *   legacy  historical accounting and the historical payload-byte port
- *           charge (l/B). Early grants are dropped ("grant for unknown
- *           message"), wasting their line slots and stranding flows.
- *   strict  demand-lifecycle ledger (EdmConfig::strict_grant_accounting):
- *           early grants park, demands retire on the observed final
- *           /MT/ — nothing wasted, but the under-charged port timers
- *           still let egress staging pile up.
+ *   strict  the demand-lifecycle ledger with the historical payload-byte
+ *           port charge (l/B): early grants park, demands retire on the
+ *           observed final /MT/ — nothing wasted, but the under-charged
+ *           port timers still let egress staging pile up.
  *   wire    wire-charged occupancy (EdmConfig::wire_charged_occupancy)
- *           on top of the strict ledger: port timers charge the chunk's
- *           exact 66-bit block line-time (docs/WIRE_FORMAT.md), pacing
- *           grants at the true wire drain rate. The staging that let
- *           grants outrun their forwards never builds — in the N-to-1
- *           incast regime wasted slots and peak egress staging both
- *           drop well below legacy, and (unlike strict alone) almost
- *           nothing even needs parking.
+ *           on the same ledger: port timers charge the chunk's exact
+ *           66-bit block line-time (docs/WIRE_FORMAT.md), pacing grants
+ *           at the true wire drain rate. The staging that let grants
+ *           outrun their forwards never builds — in the N-to-1 incast
+ *           regime peak egress staging drops well below strict, and
+ *           almost nothing even needs parking.
  *
- * The table quantifies all three per point: completions, wasted granted
+ * The table quantifies both per point: completions, wasted granted
  * slots, parked grants, stranded flows, peak egress staging depth
  * (CycleFabric::peakEgressStaging) and read p99.
  *
@@ -88,16 +84,14 @@ constexpr int kChainsPerNode = 6;
 
 enum class Mode
 {
-    Legacy, ///< historical accounting + payload-byte port charge
-    Strict, ///< demand-lifecycle ledger enforcement
-    Wire,   ///< wire-charged occupancy + strict ledger
+    Strict, ///< demand-lifecycle ledger + payload-byte port charge
+    Wire,   ///< wire-charged occupancy + the same ledger
 };
 
 const char *
 modeName(Mode m)
 {
     switch (m) {
-      case Mode::Legacy: return "legacy";
       case Mode::Strict: return "strict";
       case Mode::Wire: return "wire";
     }
@@ -158,7 +152,6 @@ runTenantSweep(int rounds)
     // runIncastPoint, restricted to hosts 13..16.
     runner.add("solo", [rounds, wl, tenants](ScenarioContext &ctx) {
         EdmConfig cfg;
-        cfg.strict_grant_accounting = true;
         cfg.tenants = tenants;
         cfg.num_nodes = kNodes;
         core::CycleFabric fab(cfg, ctx.sim());
@@ -204,7 +197,6 @@ runTenantSweep(int rounds)
         runner.add(fair ? "fairshare" : "legacy",
                    [rounds, wl, tenants, fair](ScenarioContext &ctx) {
                        EdmConfig cfg;
-                       cfg.strict_grant_accounting = true;
                        cfg.fair_share = fair;
                        cfg.tenants = tenants;
                        runIncastPoint(ctx, IncastPoint{"N-to-1", kNodes},
@@ -298,14 +290,14 @@ main(int argc, char **argv)
                     rounds, kChainsPerNode);
 
     // The occupancy model's prediction for the peakstage column: every
-    // full chunk the legacy charge paces through a saturated egress
+    // full chunk the payload charge paces through a saturated egress
     // leaves this many unpaid framing blocks behind in staging; the
     // wire charge leaves none.
     {
         EdmConfig cfg;
         std::printf("staging-growth model (core::"
                     "stagingGrowthBlocksPerChunk, %llu B chunks): "
-                    "legacy %.1f blocks/write chunk, %.1f blocks/read "
+                    "payload %.1f blocks/write chunk, %.1f blocks/read "
                     "chunk; wire-charged %.1f\n\n",
                     static_cast<unsigned long long>(cfg.chunk_bytes),
                     stagingGrowthBlocksPerChunk(cfg, false,
@@ -320,7 +312,7 @@ main(int argc, char **argv)
                     }());
     }
 
-    constexpr Mode kModes[] = {Mode::Legacy, Mode::Strict, Mode::Wire};
+    constexpr Mode kModes[] = {Mode::Strict, Mode::Wire};
     std::vector<Point> points;
     const std::vector<std::size_t> n_to_1 =
         quick ? std::vector<std::size_t>{9}
@@ -362,8 +354,6 @@ main(int argc, char **argv)
                    [pt, workload, rounds, storm,
                     &faults](ScenarioContext &ctx) {
                        EdmConfig cfg;
-                       cfg.strict_grant_accounting =
-                           pt.mode != Mode::Legacy;
                        cfg.wire_charged_occupancy = pt.mode == Mode::Wire;
                        if (storm) {
                            cfg.read_timeout = 150000 * kNanosecond;
@@ -409,14 +399,12 @@ main(int argc, char **argv)
     }
 
     std::printf(
-        "\nlegacy rows waste granted slots and strand flows under "
-        "contention; strict rows park early grants and retire\n"
-        "demands on the observed final /MT/ "
-        "(EdmConfig::strict_grant_accounting); wire rows additionally "
-        "charge port timers\nthe exact 66-bit block line-time "
-        "(EdmConfig::wire_charged_occupancy) so grants pace at the true "
-        "drain rate — in the\nN-to-1 incast regime wasted slots and "
-        "peak egress staging drop well below legacy "
+        "\nstrict rows park early grants and retire demands on the "
+        "observed final /MT/, so no granted slot is wasted;\n"
+        "wire rows additionally charge port timers the exact 66-bit "
+        "block line-time (EdmConfig::wire_charged_occupancy)\nso grants "
+        "pace at the true drain rate — in the N-to-1 incast regime peak "
+        "egress staging drops well below strict\n"
         "(docs/WIRE_FORMAT.md has the arithmetic).\n");
     return 0;
 }

@@ -193,20 +193,12 @@ struct EdmConfig
     Picoseconds read_retry_base = 2 * kMicrosecond;
 
     /**
-     * Strict demand-lifecycle accounting. The scheduler keeps an explicit
-     * ledger per demand (bytes demanded vs. granted vs. observed through
-     * the datapath) and *retires* demands when the switch sees the
-     * message's final /MT/ or a fault abort, instead of trusting byte
-     * arithmetic alone. Retired demands are never granted again (their
-     * ports are reclaimed immediately), and hosts park grants that
-     * outrun their request instead of dropping them. Off by default:
-     * legacy mode reproduces the historical schedules bit-exactly
-     * (including the over-grants this knob exists to eliminate) except
-     * where the old behavior was an outright wire-protocol bug — the
-     * drainStaged stream-boundary corruption and the ambiguous-grant
-     * mis-routing are fixed in both modes.
+     * Always true. The demand-lifecycle ledger is the only scheduler
+     * model (legacy grant accounting was removed; Scheduler exits on
+     * false). The member stays only because the perfbench workloads
+     * still assign it.
      */
-    bool strict_grant_accounting = false;
+    bool strict_grant_accounting = true;
 
     /**
      * Charge port-occupancy timers the chunk's exact wire line-time
@@ -214,12 +206,12 @@ struct EdmConfig
      * travels as 66-bit blocks — /MS/, an address block for writes, one
      * data block per 8 payload bytes, /MT/ — so a 256 B write chunk
      * occupies 35 block slots = 89.6 ns at 25G, ~9% more than the
-     * 81.92 ns the legacy charge reserves. That systematic under-charge
+     * 81.92 ns the payload charge reserves. That systematic under-charge
      * is what backs up egress staging under incast and lets /G/ grants
      * outrun their flow's forwarded request. On, the scheduler (and the
      * flow-level model's chunk serialization) charge the exact block
      * count from core/occupancy.hpp, pacing grants at the true wire
-     * rate. Off by default: legacy mode reproduces the historical
+     * rate. Off by default: payload charging reproduces the historical
      * schedules bit-exactly. Turning it on changes every schedule — see
      * docs/REBASELINE.md for the golden-rebaseline procedure and
      * docs/WIRE_FORMAT.md for the arithmetic.
@@ -227,15 +219,15 @@ struct EdmConfig
     bool wire_charged_occupancy = false;
 
     /**
-     * Strict mode: how long a parked grant may wait for the request it
-     * outran before it is dropped as orphaned (its forwarded RREQ was
-     * lost to a fault, or the grant was issued against an evicted
-     * ledger id). A legitimately parked /G/ waits only for the egress
-     * backlog ahead of the forwarded request — nanoseconds to a few
-     * microseconds — so the generous default never fires for a live
-     * flow but bounds the parked store well below the ~256-message
-     * horizon at which a reused 8-bit (dst, id) would otherwise drain
-     * another flow's grants. 0 disables expiry.
+     * How long a parked grant may wait for the request it outran before
+     * it is dropped as orphaned (its forwarded RREQ was lost to a
+     * fault, or the grant was issued against an evicted ledger id). A
+     * legitimately parked /G/ waits only for the egress backlog ahead
+     * of the forwarded request — nanoseconds to a few microseconds — so
+     * the generous default never fires for a live flow but bounds the
+     * parked store well below the ~256-message horizon at which a
+     * reused 8-bit (dst, id) would otherwise drain another flow's
+     * grants. 0 disables expiry.
      */
     Picoseconds parked_grant_timeout = 25 * kMicrosecond;
 
@@ -319,8 +311,8 @@ struct EdmConfig
      * ports by one block slot per preempting chunk; the analytic
      * staging-growth estimate already charges it. Only consulted when
      * wire_charged_occupancy is on. Changes mixed-traffic schedules —
-     * rebaseline per docs/REBASELINE.md. Off by default: both legacy
-     * and wire golden values are reproduced bit-exactly.
+     * rebaseline per docs/REBASELINE.md. Off by default: both
+     * payload-charged and wire golden values are reproduced bit-exactly.
      */
     bool charge_preemption_reentry = false;
 

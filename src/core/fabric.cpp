@@ -504,7 +504,7 @@ CycleFabric::emitHost(NodeId id)
                          false, trace::Detail::LinkDisabled, health.errors);
             // The node can no longer answer grants: retire its demand
             // lifecycles so the scheduler stops granting dead flows
-            // (strict mode) instead of letting them go stale, and drop
+            // instead of letting them go stale, and drop
             // its parked grants — it will never send the chunks they
             // bought. Every shard sweeps: the port's flows may span
             // leaves.

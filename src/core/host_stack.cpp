@@ -119,8 +119,8 @@ HostStack::admit(NodeId dst, PendingRequest req)
         return;
     }
     // 8-bit message ids wrap at 256 sends per destination; launching
-    // onto an id whose original message is still live (a stranded
-    // legacy-incast read, or simply >256 queued toward one node) would
+    // onto an id whose original message is still live (a read stranded
+    // by a fault, or simply >256 queued toward one node) would
     // make two distinct messages indistinguishable on the wire. Stall
     // the send until the id frees — its completion (or timeout) calls
     // release(), which drains the park.
@@ -317,7 +317,7 @@ HostStack::onGrant(const ControlInfo &g)
         sendResponseChunk(g.dst, g.id, g.size);
         return;
     }
-    if (g.response && cfg_.strict_grant_accounting && store_) {
+    if (g.response && store_) {
         // A /G/ can lawfully overtake its own flow's forwarded request:
         // the single-block grant interleaves through a backlogged
         // egress while the multi-block RREQ waits for stream ownership.

@@ -58,15 +58,15 @@ struct HostStats
     std::uint64_t frames_received = 0;
 
     /**
-     * Grants that matched no message state when they arrived. In legacy
-     * mode each one is a granted line slot silently wasted (the grant
-     * is dropped and its chunk never sent); strict mode parks them
-     * instead, so this stays zero there.
+     * Grants that matched no message state when they arrived: each one
+     * is a granted line slot silently wasted (the grant is dropped and
+     * its chunk never sent). Response grants that outrun their request
+     * are parked instead, so this stays zero on a node with a store.
      */
     std::uint64_t unknown_grants = 0;
 
     /**
-     * Strict mode: grants that arrived before their request did (the
+     * Grants that arrived before their request did (the
      * /G/ overtook the forwarded RREQ through a backlogged egress) and
      * were parked until the request showed up.
      */
@@ -76,7 +76,7 @@ struct HostStats
     std::uint64_t stale_response_grants = 0;
 
     /**
-     * Strict mode: parked grants dropped as orphaned — their request
+     * Parked grants dropped as orphaned — their request
      * never arrived within EdmConfig::parked_grant_timeout, or this
      * node's uplink was disabled so it could never answer them. Keeps
      * a stale parked size from draining into a later message that
@@ -87,7 +87,7 @@ struct HostStats
     /**
      * Sends stalled because the next 8-bit message id toward their
      * destination was still live (a wrapped id whose original message
-     * has not completed — e.g. a stranded legacy-incast read). The
+     * has not completed — e.g. a read stranded by a fault). The
      * send parks until the id frees instead of wrapping onto the live
      * id, which would make two distinct messages indistinguishable on
      * the wire (and used to panic the host).
@@ -312,9 +312,9 @@ class HostStack
     };
 
     /**
-     * Strict grant accounting: grants that outran their request sit
-     * here (in arrival order, keyed like responses_) until serveRead /
-     * serveRmw creates the response state they were issued against —
+     * Grants that outran their request sit here (in arrival order,
+     * keyed like responses_) until serveRead / serveRmw creates the
+     * response state they were issued against —
      * the hardware analogue of leaving them in the grant queue instead
      * of popping and dropping them. Entries older than
      * cfg_.parked_grant_timeout are swept by a scheduled expiry so an

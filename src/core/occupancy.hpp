@@ -23,8 +23,9 @@
  * (`stagingGrowthBlocksPerChunk`). The charging policy is selected by
  * `EdmConfig::wire_charged_occupancy`:
  *
- *   off (default)  bit-exact legacy schedules: ports are charged the
- *                  raw payload serialization `transmissionDelay(l, B)`
+ *   off (default)  payload charging, bit-exact historical schedules:
+ *                  ports are charged the raw payload serialization
+ *                  `transmissionDelay(l, B)`
  *                  (and request forwards the historical
  *                  `wireBytes + 1` byte rounding);
  *   on             ports are charged the exact block-count line-time,
@@ -122,10 +123,10 @@ inline constexpr double kBlockWireBytes =
  * @p response selects the chunk framing: RRES chunks have no address
  * block, WREQ chunks do.
  *
- * Legacy mode returns the historical raw-payload serialization delay
- * bit-exactly; wire-charged mode returns the exact block line-time,
- * plus the preemption re-entry slot when @p frame_active reports an
- * L2 frame backlog on the destination port and
+ * Payload charging returns the historical raw-payload serialization
+ * delay bit-exactly; wire-charged mode returns the exact block
+ * line-time, plus the preemption re-entry slot when @p frame_active
+ * reports an L2 frame backlog on the destination port and
  * EdmConfig::charge_preemption_reentry opts in.
  */
 inline Picoseconds
@@ -146,9 +147,9 @@ grantOccupancy(const EdmConfig &cfg, bool response, Bytes chunk,
  * Port-occupancy charge for forwarding a buffered RREQ/RMWREQ to the
  * memory node (the implicit first grant of a response demand).
  *
- * Legacy mode reproduces the historical `wireBytes + 1` byte rounding
- * bit-exactly; wire-charged mode charges the request's exact block
- * count (3 slots for an RREQ, 5 for an RMWREQ).
+ * Payload charging reproduces the historical `wireBytes + 1` byte
+ * rounding bit-exactly; wire-charged mode charges the request's exact
+ * block count (3 slots for an RREQ, 5 for an RMWREQ).
  */
 inline Picoseconds
 requestForwardOccupancy(const EdmConfig &cfg, const MemMessage &req)
@@ -220,7 +221,7 @@ tierOccupancy(const EdmConfig &cfg, LinkTier tier, bool response,
  * granted chunk: the gap between the chunk's true line-time and the
  * occupancy the scheduler charged for it, expressed in block slots
  * (plus the preemption re-entry slot when the port also carries frame
- * traffic). Under legacy charging this is positive — every chunk
+ * traffic). Under payload charging this is positive — every chunk
  * through a saturated egress leaves this many blocks behind in the
  * staging queues, which is why incast staging depth grows with the
  * grant count — and exactly zero under wire-charged occupancy on a

@@ -19,6 +19,8 @@ Scheduler::Scheduler(const EdmConfig &cfg, EventQueue &events,
       winner_by_src_(cfg.num_nodes, -1)
 {
     EDM_ASSERT(sink_, "scheduler needs a grant sink");
+    if (!cfg_.strict_grant_accounting)
+        EDM_FATAL("legacy grant accounting was removed");
     const std::size_t cap =
         static_cast<std::size_t>(cfg_.max_notifications) * cfg_.num_nodes;
     queues_.reserve(cfg_.num_nodes);
@@ -179,7 +181,7 @@ Scheduler::insertDemand(Demand d)
     // Check capacity before touching the ledger: openLedgerEntry may
     // evict-and-overwrite a live predecessor's entry under a reused id,
     // and unwinding that after a failed insert would leave the older,
-    // still-queued flow untracked (strict mode would then drop it as
+    // still-queued flow untracked (issueGrant would then drop it as
     // stale). A full queue drops the demand before it owns anything.
     if (q.full())
         return false;
@@ -516,7 +518,7 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
     EDM_ASSERT(l > 0, "granting zero bytes");
 
     auto ledger_it = ledger_.find(keyOf(d).packed());
-    if (cfg_.strict_grant_accounting && ledger_it == ledger_.end()) {
+    if (ledger_it == ledger_.end()) {
         // The flow retired (final /MT/ observed, or its sender's link
         // died) while this demand was still queued: granting it would
         // put a /G/ on the wire that no host answers and hold both
@@ -533,8 +535,7 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         retirePairEntry(d);
         return;
     }
-    if (ledger_it != ledger_.end())
-        ledger_it->second.granted += l;
+    ledger_it->second.granted += l;
     ++grants_issued_;
 
     GrantAction action;
@@ -583,11 +584,11 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
 
     // Release both ports one chunk occupancy after the grant leaves, so
     // the next chunk's first bit lands right behind this chunk's last
-    // bit (§3.1.1 step 7). Legacy charges the raw payload serialization
-    // l/B; wire-charged mode charges the chunk's exact 66-bit block
-    // line-time (core/occupancy.hpp), which also covers the /MS/,
-    // address and /MT/ framing the legacy charge leaves unpaid — plus,
-    // when charge_preemption_reentry opts in, the re-entry slot a
+    // bit (§3.1.1 step 7). Payload charging reserves the raw payload
+    // serialization l/B; wire-charged mode charges the chunk's exact
+    // 66-bit block line-time (core/occupancy.hpp), which also covers the
+    // /MS/, address and /MT/ framing the payload charge leaves unpaid —
+    // plus, when charge_preemption_reentry opts in, the re-entry slot a
     // frame-carrying destination port owes its interrupted frame.
     const bool frame_active = cfg_.wire_charged_occupancy &&
         cfg_.charge_preemption_reentry && frame_probe_ &&
@@ -597,12 +598,8 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
     if (fair_tree_) {
         // Charge the granted data's line-time to the client's pool:
         // advances its virtual time (the fairness currency) and its
-        // limit window. Backlog shrinks only by ledger-backed bytes —
-        // a legacy over-grant against a retired entry burns bandwidth
-        // but has no demand left to cancel.
-        fair_tree_->chargeGrant(d.pool,
-                                ledger_it != ledger_.end() ? l : 0,
-                                occupancy, events_.now());
+        // limit window.
+        fair_tree_->chargeGrant(d.pool, l, occupancy, events_.now());
     }
     const NodeId src_port = d.src;
     events_.schedule(when + occupancy, [this, src_port, dst_port] {
@@ -699,8 +696,7 @@ Scheduler::onChunkForwarded(NodeId src, NodeId dst, MsgId id,
                  src, dst, id, response, trace::Detail::None,
                  it->second.observed, leaf_, 0, auxOf(poolOfKey(key)));
     ledger_.erase(it);
-    if (cfg_.strict_grant_accounting)
-        reclaimQueuedDemand(key);
+    reclaimQueuedDemand(key);
 }
 
 std::optional<Scheduler::FlowBytes>
@@ -741,8 +737,7 @@ Scheduler::abortPort(NodeId port)
                      key.src, key.dst, key.id, key.response,
                      trace::Detail::None, stale, leaf_, 0,
                      auxOf(poolOfKey(key)));
-        if (cfg_.strict_grant_accounting)
-            reclaimQueuedDemand(key);
+        reclaimQueuedDemand(key);
         if (abort_sink_)
             aborted.push_back(key);
     }

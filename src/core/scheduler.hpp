@@ -121,10 +121,10 @@ struct LedgerStats
     /** Demands retired by a fault abort (disabled sender link). */
     std::uint64_t retired_by_abort = 0;
 
-    /** Strict mode: grants withheld because the demand was retired. */
+    /** Grants withheld because the demand was retired. */
     std::uint64_t grants_suppressed = 0;
 
-    /** Strict mode: queued bytes reclaimed from retired demands. */
+    /** Queued bytes reclaimed from retired demands. */
     std::uint64_t stale_bytes_reclaimed = 0;
 
     /** Ledger entries evicted by message-id reuse before retirement. */
@@ -139,12 +139,10 @@ struct LedgerStats
  * creates an entry keyed by its FlowKey, grants debit the entry, and
  * the entry *retires* when the switch datapath reports the message's
  * final chunk (/MT/ with the last-chunk flag, or a fault abort) — not
- * when byte arithmetic happens to reach zero. With
- * EdmConfig::strict_grant_accounting, retirement is authoritative: a
- * retired demand is dropped from the queues, its ports are never
- * reserved for a grant nobody will answer, and the matching loop moves
- * on within the same pass. Legacy mode keeps the ledger as passive
- * observability, reproducing historical schedules bit-exactly.
+ * when byte arithmetic happens to reach zero. Retirement is
+ * authoritative: a retired demand is dropped from the queues, its ports
+ * are never reserved for a grant nobody will answer, and the matching
+ * loop moves on within the same pass.
  */
 class Scheduler
 {
@@ -193,7 +191,8 @@ class Scheduler
      * @p topo / @p leaf make this instance one leaf's scheduler shard:
      * it proposes only for that leaf's hosts and coordinates cross-leaf
      * reservations via the note sink. Defaults construct the classic
-     * whole-fabric scheduler (and edm_model's flow-level clone).
+     * whole-fabric scheduler (and edm_model's flow-level clone). Exits
+     * if @p cfg asks for the removed legacy grant accounting.
      */
     Scheduler(const EdmConfig &cfg, EventQueue &events, GrantSink sink,
               const net::Topology *topo = nullptr,
@@ -264,10 +263,9 @@ class Scheduler
      * @p bytes passed the switch; @p response is the direction bit
      * (true for RRES data, false for WREQ data — the /MS/ header's
      * message type) and @p last_chunk marks the message's final chunk.
-     * Retires the ledger entry on the final chunk; in strict mode any
-     * residual queued demand for the flow is reclaimed so it can never
-     * be granted again. Pure bookkeeping — schedules no events and, in
-     * legacy mode, changes no decision.
+     * Retires the ledger entry on the final chunk and reclaims any
+     * residual queued demand for the flow, so it can never be granted
+     * again. Schedules no events.
      */
     void onChunkForwarded(NodeId src, NodeId dst, MsgId id, bool response,
                           Bytes bytes, bool last_chunk);
@@ -275,8 +273,7 @@ class Scheduler
     /**
      * Fault report: @p port's uplink was disabled. Every demand whose
      * data sender is @p port can no longer be answered; retire its
-     * ledger entries, and in strict mode drop the queued demands and
-     * stop granting them.
+     * ledger entries, drop the queued demands and stop granting them.
      */
     void abortPort(NodeId port);
 
@@ -457,7 +454,7 @@ class Scheduler
     }
 
     void openLedgerEntry(const Demand &d);
-    /** Drop a retired flow's queued demand (strict mode). */
+    /** Drop a retired flow's queued demand. */
     void reclaimQueuedDemand(const FlowKey &key);
 
     /** Fair-share pool of the flow's client host (-1 without a tree). */

@@ -213,7 +213,7 @@ class SwitchStack
      * the one train-dependent metric (ROADMAP's train-invariant
      * measurement item); compare runs at the same cap. This is the
      * quantity the wire-occupancy model's per-chunk growth estimate
-     * (core::stagingGrowthBlocksPerChunk) predicts — legacy payload
+     * (core::stagingGrowthBlocksPerChunk) predicts — payload
      * charging under-reserves every chunk and the peak climbs with the
      * grant count; wire-charged occupancy keeps it near one chunk per
      * contending flow.

@@ -19,7 +19,6 @@ EdmFlowModel::EdmFlowModel(Simulation &sim, const ClusterConfig &cluster,
     ecfg_.max_notifications = cfg.max_notifications;
     ecfg_.priority = cfg.priority;
     ecfg_.scheduler_ghz = cfg.scheduler_ghz;
-    ecfg_.strict_grant_accounting = cfg.strict_grant_accounting;
     ecfg_.wire_charged_occupancy = cfg.wire_charged_occupancy;
     ecfg_.event_log = cfg.event_log;
     sched_ = std::make_unique<core::Scheduler>(
@@ -121,8 +120,8 @@ EdmFlowModel::onGrant(const core::GrantAction &action)
     // Grant travels one hop to the sender; the chunk then serializes and
     // crosses two hops through its virtual circuit. Wire-charged mode
     // serializes the chunk's exact block line-time (matching the
-    // occupancy the shared scheduler reserved for it); legacy keeps the
-    // raw payload delay bit-exactly.
+    // occupancy the shared scheduler reserved for it); payload charging
+    // keeps the raw payload delay bit-exactly.
     const Picoseconds ser = mcfg_.wire_charged_occupancy
         ? core::chunkLineTime(response ? core::MemMsgType::RRES
                                        : core::MemMsgType::WREQ,
@@ -169,9 +168,7 @@ EdmFlowModel::deliverChunk(const MsgKey &key, Bytes chunk, Picoseconds at)
         const PairKey pair{job.src, job.dst};
         --outstanding_[pair];
         // Drain parked jobs while budget is free and the next id is not
-        // live (id-wrap stall). In legacy runs the id guard never fires
-        // and at most one slot just freed, so this drains exactly one
-        // job — bit-identical to the historical single relaunch.
+        // live (id-wrap stall).
         auto &parked = parked_[pair];
         while (!parked.empty() &&
                outstanding_[pair] < mcfg_.max_notifications &&

@@ -266,10 +266,6 @@ applyEdmConfigKey(core::EdmConfig &cfg, const std::string &key,
         if (!parseLong(value, n) || n < 1)
             return bad_value();
         cfg.read_retry_base = n * kNanosecond;
-    } else if (key == "strict_grant_accounting") {
-        if (!parseBool(value, b))
-            return bad_value();
-        cfg.strict_grant_accounting = b;
     } else if (key == "wire_charged_occupancy") {
         if (!parseBool(value, b))
             return bad_value();

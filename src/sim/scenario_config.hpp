@@ -34,8 +34,8 @@
  *   ls.min_share = 0.2
  *   ls.latency_sensitive = true
  *
- *   [mode strict]            # EdmConfig overlay, one table row per mode
- *   strict_grant_accounting = true
+ *   [mode wire]              # EdmConfig overlay, one table row per mode
+ *   wire_charged_occupancy = true
  *
  * Unknown keys are hard errors: a typo must fail loudly, never
  * silently fall back to a default schedule.

@@ -61,7 +61,6 @@ tenantConfig(std::vector<TenantPoolSpec> pools, std::size_t nodes,
     EdmConfig cfg;
     cfg.num_nodes = nodes;
     cfg.link_rate = Gbps{100.0};
-    cfg.strict_grant_accounting = true;
     cfg.fair_share = fair;
     cfg.tenants.pools = std::move(pools);
     return cfg;
@@ -470,7 +469,6 @@ TEST(FairShareFabric, OffIsBitExactWithUntenantedLegacy)
     auto run = [&](bool with_pools) {
         EdmConfig cfg;
         cfg.num_nodes = 9;
-        cfg.strict_grant_accounting = true;
         cfg.fair_share = false;
         if (with_pools)
             cfg.tenants.pools = {pool("a", 1, 4, 3.0),

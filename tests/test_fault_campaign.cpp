@@ -45,7 +45,6 @@ stormConfig()
     cfg.read_retry_limit = 5;
     cfg.read_retry_base = 5 * kMicrosecond;
     cfg.link_error_threshold = 8;
-    cfg.strict_grant_accounting = true;
     return cfg;
 }
 
@@ -251,12 +250,11 @@ TEST(FaultCampaign, TrainEnginesMatchPerBlockMidStorm)
 
 TEST(FaultCampaign, ReplicatedFailoverDuringIncastStrict)
 {
-    // Mid-incast switch power-loss with the strict ledger: mirrored
+    // Mid-incast switch power-loss with the ledger: mirrored
     // reads survive on the living network, every op completes exactly
     // once, and failback resyncs the dead network's stores.
     EdmConfig cfg;
     cfg.num_nodes = 3;
-    cfg.strict_grant_accounting = true;
     Simulation sim;
     core::ReplicatedFabric rep(cfg, sim, {2});
     FaultCampaign campaign(sim, rep.primary());

@@ -59,13 +59,13 @@ TEST(ScenarioParser, SectionsKeysCommentsAndTypes)
 TEST(ScenarioParser, ModeSectionsSelectableByPrefix)
 {
     const ScenarioDoc doc = parseOk("[scenario]\nname = x\n"
-                                    "[mode legacy]\n"
                                     "[mode strict]\n"
-                                    "strict_grant_accounting = true\n");
+                                    "[mode wire]\n"
+                                    "wire_charged_occupancy = true\n");
     const auto modes = doc.sectionsWithPrefix("mode ");
     ASSERT_EQ(modes.size(), 2u);
-    EXPECT_EQ(modes[0]->name, "mode legacy");
-    EXPECT_EQ(modes[1]->name, "mode strict");
+    EXPECT_EQ(modes[0]->name, "mode strict");
+    EXPECT_EQ(modes[1]->name, "mode wire");
     EXPECT_EQ(modes[1]->entries.size(), 1u);
 }
 
@@ -94,8 +94,7 @@ TEST(ScenarioConfig, AppliesKnownKeys)
     EXPECT_TRUE(applyEdmConfigKey(cfg, "num_nodes", "9", error)) << error;
     EXPECT_TRUE(applyEdmConfigKey(cfg, "link_gbps", "25", error));
     EXPECT_TRUE(applyEdmConfigKey(cfg, "priority", "srpt", error));
-    EXPECT_TRUE(
-        applyEdmConfigKey(cfg, "strict_grant_accounting", "true", error));
+    EXPECT_TRUE(applyEdmConfigKey(cfg, "read_timeout_ns", "4000", error));
     EXPECT_TRUE(
         applyEdmConfigKey(cfg, "wire_charged_occupancy", "true", error));
     EXPECT_TRUE(applyEdmConfigKey(cfg, "charge_preemption_reentry",
@@ -106,7 +105,7 @@ TEST(ScenarioConfig, AppliesKnownKeys)
     EXPECT_EQ(cfg.num_nodes, 9u);
     EXPECT_DOUBLE_EQ(cfg.link_rate.value, 25.0);
     EXPECT_EQ(cfg.priority, core::Priority::Srpt);
-    EXPECT_TRUE(cfg.strict_grant_accounting);
+    EXPECT_EQ(cfg.read_timeout, 4000 * kNanosecond);
     EXPECT_TRUE(cfg.wire_charged_occupancy);
     EXPECT_TRUE(cfg.charge_preemption_reentry);
     EXPECT_EQ(cfg.parked_grant_timeout, 250 * kNanosecond);
@@ -125,16 +124,18 @@ TEST(ScenarioConfig, UnknownKeysAndBadValuesAreHardErrors)
     EXPECT_FALSE(applyEdmConfigKey(cfg, "priority", "fifo", error));
 }
 
-TEST(ScenarioConfig, RemovedEngineKeysAreUnknown)
+TEST(ScenarioConfig, RemovedKeysAreUnknown)
 {
-    // The partitioned parallel engine and its two config keys are gone;
-    // old scenario files naming them must fail loudly, not run serially
-    // while pretending to honor them.
+    // The partitioned parallel engine's two keys and the legacy/strict
+    // grant-accounting switch are gone; old scenario files naming them
+    // must fail loudly, not run while pretending to honor them.
     core::EdmConfig cfg;
-    for (const char *suffix : {"workers", "partition_map"}) {
-        const std::string key = std::string("fabric_") + suffix;
+    const std::string keys[] = {std::string("fabric_") + "workers",
+                                std::string("fabric_") + "partition_map",
+                                "strict_grant_accounting"};
+    for (const std::string &key : keys) {
         std::string error;
-        EXPECT_FALSE(applyEdmConfigKey(cfg, key, "2", error)) << key;
+        EXPECT_FALSE(applyEdmConfigKey(cfg, key, "true", error)) << key;
         EXPECT_NE(error.find(key), std::string::npos) << error;
     }
 }
@@ -199,20 +200,12 @@ TEST(ScenarioSpecTest, LoadsShippedIncastScenario)
     ASSERT_EQ(spec.quick_n_to_1.size(), 1u);
     EXPECT_EQ(spec.quick_n_to_1[0], 9u);
 
-    // The three modes mirror examples/incast_stress.cpp exactly.
-    ASSERT_EQ(spec.modes.size(), 3u);
-    EXPECT_EQ(spec.modes[0].name, "legacy");
-    EXPECT_EQ(spec.modes[1].name, "strict");
-    EXPECT_EQ(spec.modes[2].name, "wire");
-    const core::EdmConfig legacy = spec.configFor(spec.modes[0]);
-    EXPECT_FALSE(legacy.strict_grant_accounting);
-    EXPECT_FALSE(legacy.wire_charged_occupancy);
-    const core::EdmConfig strict = spec.configFor(spec.modes[1]);
-    EXPECT_TRUE(strict.strict_grant_accounting);
-    EXPECT_FALSE(strict.wire_charged_occupancy);
-    const core::EdmConfig wire = spec.configFor(spec.modes[2]);
-    EXPECT_TRUE(wire.strict_grant_accounting);
-    EXPECT_TRUE(wire.wire_charged_occupancy);
+    // The two modes mirror examples/incast_stress.cpp exactly.
+    ASSERT_EQ(spec.modes.size(), 2u);
+    EXPECT_EQ(spec.modes[0].name, "strict");
+    EXPECT_EQ(spec.modes[1].name, "wire");
+    EXPECT_FALSE(spec.configFor(spec.modes[0]).wire_charged_occupancy);
+    EXPECT_TRUE(spec.configFor(spec.modes[1]).wire_charged_occupancy);
 }
 
 TEST(ScenarioSpecTest, LoadsShippedInterferenceScenario)
@@ -254,20 +247,18 @@ TEST(ScenarioSpecTest, ParsedSpecReproducesHandBuiltConfigExactly)
     ASSERT_TRUE(loadScenarioSpec(EDM_SOURCE_DIR "/scenarios/incast.edm",
                                  spec, error))
         << error;
-    ASSERT_EQ(spec.modes.size(), 3u);
+    ASSERT_EQ(spec.modes.size(), 2u);
 
     // Hand-built configs exactly as examples/incast_stress.cpp sets them.
-    core::EdmConfig strict_cfg;
-    strict_cfg.strict_grant_accounting = true;
+    const core::EdmConfig strict_cfg;
     core::EdmConfig wire_cfg;
-    wire_cfg.strict_grant_accounting = true;
     wire_cfg.wire_charged_occupancy = true;
 
     const struct
     {
         const core::EdmConfig *hand;
         const ScenarioModeSpec *mode;
-    } pairs[] = {{&strict_cfg, &spec.modes[1]}, {&wire_cfg, &spec.modes[2]}};
+    } pairs[] = {{&strict_cfg, &spec.modes[0]}, {&wire_cfg, &spec.modes[1]}};
     for (const auto &pair : pairs) {
         const ScenarioResult hand =
             runOnePoint(*pair.hand, spec.base_seed);
@@ -330,7 +321,7 @@ TEST(ScenarioSpecTest, LoadsShippedFailureStormScenario)
     EXPECT_EQ(spec.faults.repair_after, 6000 * kNanosecond);
 
     // Retry/backoff knobs ride in [config] and land on every mode.
-    ASSERT_EQ(spec.modes.size(), 3u);
+    ASSERT_EQ(spec.modes.size(), 2u);
     const core::EdmConfig cfg = spec.configFor(spec.modes[0]);
     EXPECT_EQ(cfg.read_retry_limit, 5);
     EXPECT_EQ(cfg.link_error_threshold, 8u);

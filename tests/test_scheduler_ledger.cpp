@@ -2,15 +2,14 @@
  * @file
  * Demand-lifecycle ledger tests (scheduler over-grant bugfix).
  *
- * The legacy scheduler decrements demands only by issued grants, so
- * under incast contention a /G/ can outrun its flow's forwarded RREQ
- * through a backlogged egress, reach the memory node before any
- * response state exists, and be dropped — "grant for unknown message",
- * a granted line slot silently wasted and a read that never completes.
- * With EdmConfig::strict_grant_accounting the ledger retires demands on
- * the observed final /MT/ (or fault abort), hosts park early grants,
- * and the incast regime runs warning-clean with zero wasted slots —
- * while every legacy schedule stays bit-exact.
+ * Under incast contention a /G/ can outrun its flow's forwarded RREQ
+ * through a backlogged egress and reach the memory node before any
+ * response state exists. A scheduler that decremented demands only by
+ * issued grants used to drop such grants there — a granted line slot
+ * silently wasted and a read that never completes (CHANGES.md, PR 4).
+ * The ledger retires demands on the observed final /MT/ (or fault
+ * abort), hosts park early grants, and the incast regime runs
+ * warning-clean with zero wasted slots.
  */
 
 #include <gtest/gtest.h>
@@ -61,14 +60,13 @@ enum class Mix
  * of back-to-back 900 B reads / 700 B writes against node 0.
  */
 IncastResult
-runIncast(Mix mix, int rounds, bool strict, std::size_t train_cap,
+runIncast(Mix mix, int rounds, std::size_t train_cap,
           bool wire_charged = false)
 {
     EdmConfig cfg;
     cfg.num_nodes = kIncastNodes;
     cfg.max_train_blocks = train_cap;
     cfg.max_frame_train_blocks = train_cap;
-    cfg.strict_grant_accounting = strict;
     cfg.wire_charged_occupancy = wire_charged;
     Simulation sim(42);
     CycleFabric fab(cfg, sim);
@@ -112,29 +110,13 @@ runIncast(Mix mix, int rounds, bool strict, std::size_t train_cap,
     return r;
 }
 
-TEST(SchedulerLedger, LegacyIncastOverGrantsAndWastesSlots)
-{
-    // The historical bug, reproduced: mixed incast makes /G/s overtake
-    // their forwarded RREQ, the memory node drops them, and the flows
-    // they belonged to never finish. The ledger observes the breakage
-    // (leaked entries = broken flows) without changing the schedule.
-    const std::uint64_t warns_before = warnCount();
-    const IncastResult r = runIncast(Mix::Mixed, 20, false, 64);
-    EXPECT_GT(r.acc.unknown_grants, 0u);
-    EXPECT_GT(r.acc.wasted_grant_slots, 0u);
-    EXPECT_LT(r.completed, r.offered); // lost grants strand their flows
-    EXPECT_GT(r.ledger_left, 0u);      // broken flows never retire
-    EXPECT_GT(warnCount(), warns_before);
-}
-
 TEST(SchedulerLedger, StrictIncastIsWarningCleanAndWastesNothing)
 {
-    // Acceptance criterion: with strict_grant_accounting on, the same
-    // regime parks early grants instead of dropping them — zero
-    // warnings, zero wasted slots, every operation completes, and the
-    // ledger drains.
+    // The over-grant regime parks early grants instead of dropping
+    // them — zero warnings, zero wasted slots, every operation
+    // completes, and the ledger drains.
     const std::uint64_t warns_before = warnCount();
-    const IncastResult r = runIncast(Mix::Mixed, 20, true, 64);
+    const IncastResult r = runIncast(Mix::Mixed, 20, 64);
     EXPECT_EQ(warnCount(), warns_before); // no scheduler/host warnings
     EXPECT_EQ(r.acc.unknown_grants, 0u);
     EXPECT_EQ(r.acc.stale_response_grants, 0u);
@@ -150,21 +132,17 @@ TEST(SchedulerLedger, StrictIncastIsWarningCleanAndWastesNothing)
               static_cast<std::uint64_t>(r.offered));
 }
 
-TEST(SchedulerLedger, StrictMatchesLegacyOnCleanWorkloads)
+TEST(SchedulerLedger, CleanWorkloadsNeverParkOrSuppress)
 {
-    // Strict mode is pure enforcement: on workloads that never
-    // over-grant it must reproduce the legacy schedule bit-exactly.
+    // Reads-only and writes-only incast never over-grant: the ledger
+    // is pure bookkeeping there — every op completes with no grant
+    // parked and none suppressed.
     for (const Mix mix : {Mix::ReadsOnly, Mix::WritesOnly}) {
-        const IncastResult legacy = runIncast(mix, 12, false, 64);
-        const IncastResult strict = runIncast(mix, 12, true, 64);
-        ASSERT_EQ(legacy.acc.unknown_grants, 0u); // clean by design
-        EXPECT_EQ(strict.end_time, legacy.end_time);
-        EXPECT_EQ(strict.grants, legacy.grants);
-        EXPECT_EQ(strict.completed, legacy.completed);
-        EXPECT_EQ(strict.read_lat, legacy.read_lat);
-        EXPECT_EQ(strict.write_lat, legacy.write_lat);
-        EXPECT_EQ(strict.acc.grants_parked, 0u);
-        EXPECT_EQ(strict.acc.ledger.grants_suppressed, 0u);
+        const IncastResult r = runIncast(mix, 12, 64);
+        EXPECT_EQ(r.completed, r.offered);
+        EXPECT_EQ(r.acc.unknown_grants, 0u);
+        EXPECT_EQ(r.acc.grants_parked, 0u);
+        EXPECT_EQ(r.acc.ledger.grants_suppressed, 0u);
     }
 }
 
@@ -174,18 +152,15 @@ TEST(SchedulerLedger, TrainEnginesMatchPerBlockUnderIncast)
     // exposed: drainStaged used to pop across a stream boundary when
     // the earlier stream's /MT/ was still in the forwarding pipeline,
     // nesting /MS/ sequences on the wire (a panic in the train engine).
-    // Per-block and train engines must agree bit-exactly, in both
-    // accounting modes.
-    for (const bool strict : {false, true}) {
-        const IncastResult per_block = runIncast(Mix::Mixed, 20, strict, 1);
-        const IncastResult trains = runIncast(Mix::Mixed, 20, strict, 64);
-        EXPECT_EQ(trains.end_time, per_block.end_time);
-        EXPECT_EQ(trains.grants, per_block.grants);
-        EXPECT_EQ(trains.completed, per_block.completed);
-        EXPECT_EQ(trains.acc.unknown_grants, per_block.acc.unknown_grants);
-        EXPECT_EQ(trains.read_lat, per_block.read_lat);
-        EXPECT_EQ(trains.write_lat, per_block.write_lat);
-    }
+    // Per-block and train engines must agree bit-exactly.
+    const IncastResult per_block = runIncast(Mix::Mixed, 20, 1);
+    const IncastResult trains = runIncast(Mix::Mixed, 20, 64);
+    EXPECT_EQ(trains.end_time, per_block.end_time);
+    EXPECT_EQ(trains.grants, per_block.grants);
+    EXPECT_EQ(trains.completed, per_block.completed);
+    EXPECT_EQ(trains.acc.unknown_grants, per_block.acc.unknown_grants);
+    EXPECT_EQ(trains.read_lat, per_block.read_lat);
+    EXPECT_EQ(trains.write_lat, per_block.write_lat);
 }
 
 TEST(SchedulerLedger, RetiresOnObservedCompletion)
@@ -194,7 +169,6 @@ TEST(SchedulerLedger, RetiresOnObservedCompletion)
     // retire on its observed final /MT/, leaving nothing behind.
     EdmConfig cfg;
     cfg.num_nodes = 4;
-    cfg.strict_grant_accounting = true;
     Simulation sim;
     CycleFabric fab(cfg, sim, {3});
     fab.host(3).store()->write(0x100, std::vector<std::uint8_t>(600, 7));
@@ -227,7 +201,6 @@ TEST(SchedulerLedger, RetiresOnFaultAbort)
     EdmConfig cfg;
     cfg.num_nodes = 3;
     cfg.read_timeout = 2 * kMicrosecond;
-    cfg.strict_grant_accounting = true;
     Simulation sim;
     CycleFabric fab(cfg, sim, {1});
     fab.host(1).store()->write(0x100, std::vector<std::uint8_t>(256, 3));
@@ -260,13 +233,12 @@ TEST(SchedulerLedger, RetiresOnFaultAbort)
 TEST(SchedulerLedger, StrictRetirementStopsFurtherGrants)
 {
     // Scheduler-level unit test: once the datapath reports a demand's
-    // final chunk, a strict scheduler must never grant it again — the
+    // final chunk, the scheduler must never grant it again — the
     // residual queued demand is reclaimed and its ports stay free.
     EdmConfig cfg;
     cfg.num_nodes = 4;
     cfg.link_rate = Gbps{100.0};
     cfg.chunk_bytes = 256;
-    cfg.strict_grant_accounting = true;
     Simulation sim;
     std::vector<GrantAction> grants;
     Scheduler sched(cfg, sim.events(),
@@ -303,37 +275,17 @@ TEST(SchedulerLedger, StrictRetirementStopsFurtherGrants)
     EXPECT_EQ(sched.ledgerStats().retired_by_completion, 1u);
 }
 
-TEST(SchedulerLedger, LegacyRetirementIsObservabilityOnly)
+TEST(SchedulerLedgerDeathTest, LegacyAccountingIsRejected)
 {
-    // The same sequence in legacy mode must keep granting exactly as
-    // the historical scheduler did — the ledger only watches.
+    // The ledger is the only scheduler model: the one remaining value
+    // of the config member that used to select legacy accounting is
+    // true, and false exits instead of silently running a second mode.
     EdmConfig cfg;
-    cfg.num_nodes = 4;
-    cfg.link_rate = Gbps{100.0};
-    cfg.chunk_bytes = 256;
+    cfg.strict_grant_accounting = false;
     Simulation sim;
-    std::vector<GrantAction> grants;
-    Scheduler sched(cfg, sim.events(),
-                    [&](const GrantAction &a) { grants.push_back(a); });
-
-    ControlInfo n;
-    n.src = 0;
-    n.dst = 1;
-    n.id = 9;
-    n.size = 1000;
-    ASSERT_TRUE(sched.addWriteDemand(n));
-    sim.run(1);
-    ASSERT_EQ(grants.size(), 1u);
-    sched.onChunkForwarded(0, 1, 9, /*response=*/false, 256,
-                           /*last_chunk=*/false);
-    const auto bytes = sched.flowBytes(FlowKey{0, 1, 9});
-    ASSERT_TRUE(bytes.has_value());
-    EXPECT_EQ(bytes->observed, 256u); // the ledger watches either way
-    sched.onChunkForwarded(0, 1, 9, false, 256, true);
-    EXPECT_EQ(sched.ledgerStats().retired_by_completion, 1u);
-    sim.run();
-    EXPECT_EQ(grants.size(), 4u); // 256 + 256 + 256 + 232, as always
-    EXPECT_EQ(sched.ledgerStats().grants_suppressed, 0u);
+    EXPECT_EXIT(Scheduler(cfg, sim.events(), [](const GrantAction &) {}),
+                ::testing::ExitedWithCode(1),
+                "legacy grant accounting was removed");
 }
 
 TEST(SchedulerLedger, DirectionBitKeysLedgerEntriesSeparately)
@@ -343,10 +295,9 @@ TEST(SchedulerLedger, DirectionBitKeysLedgerEntriesSeparately)
     // demand under the same (src=0, dst=1, id). Only FlowKey's
     // direction bit keeps the two ledger entries apart; without it the
     // second registration evicts the first and the first completion
-    // retires (and, strictly, reclaims) the other, still-live flow.
+    // retires (and reclaims) the other, still-live flow.
     EdmConfig cfg;
     cfg.num_nodes = 4;
-    cfg.strict_grant_accounting = true;
     Simulation sim;
     Scheduler sched(cfg, sim.events(), [](const GrantAction &) {});
 
@@ -384,12 +335,10 @@ TEST(SchedulerLedger, CollidingReadServeAndWriteBothComplete)
     // End-to-end regression for the ledger collision: both hosts start
     // their per-destination id counters at zero, so the write 0→1 and
     // the response to 1's read from 0 are live as {0→1, id 0}
-    // simultaneously, serialized on node 0's uplink. Strict mode must
-    // finish both.
+    // simultaneously, serialized on node 0's uplink. Both must finish.
     const std::uint64_t warns_before = warnCount();
     EdmConfig cfg;
     cfg.num_nodes = 2;
-    cfg.strict_grant_accounting = true;
     Simulation sim;
     CycleFabric fab(cfg, sim);
     fab.host(0).store()->write(0x100, std::vector<std::uint8_t>(2000, 5));
@@ -419,12 +368,11 @@ TEST(SchedulerLedger, FullQueueInsertLeavesPredecessorTracked)
     // A demand dropped on a full queue must not disturb the ledger
     // entry of a live predecessor sharing its key: insertDemand used to
     // open (evict-and-overwrite) the entry first and erase it on insert
-    // failure, untracking the queued flow — which strict mode then
+    // failure, untracking the queued flow — which issueGrant then
     // dropped as stale.
     EdmConfig cfg;
     cfg.num_nodes = 2;
     cfg.max_notifications = 1; // per-port queue capacity = 1 * 2 = 2
-    cfg.strict_grant_accounting = true;
     Simulation sim;
     Scheduler sched(cfg, sim.events(), [](const GrantAction &) {});
 
@@ -453,24 +401,25 @@ TEST(SchedulerLedger, WireChargedOccupancyShrinksIncastStaging)
     // Acceptance criterion for EdmConfig::wire_charged_occupancy: with
     // port timers charging the chunk's exact 66-bit block line-time
     // (instead of the ~9%-short raw payload charge), grants pace at the
-    // true wire drain rate, so the mixed-incast regime wastes fewer
-    // granted slots and peaks at a much shallower egress staging depth
-    // than legacy — and, unlike strict accounting alone, grants barely
-    // ever outrun their forwarded request in the first place.
-    const IncastResult legacy = runIncast(Mix::Mixed, 20, false, 64);
+    // true wire drain rate, so in the mixed-incast regime grants outrun
+    // their forwarded request less often (fewer parked) and egress
+    // staging peaks shallower than under payload charging.
+    const IncastResult payload = runIncast(Mix::Mixed, 20, 64);
     const IncastResult wire =
-        runIncast(Mix::Mixed, 20, true, 64, /*wire_charged=*/true);
-    ASSERT_GT(legacy.acc.wasted_grant_slots, 0u); // the regime is real
+        runIncast(Mix::Mixed, 20, 64, /*wire_charged=*/true);
+    ASSERT_GT(payload.acc.grants_parked, 0u); // the regime is real
     EXPECT_EQ(wire.completed, wire.offered);
     EXPECT_EQ(wire.acc.unknown_grants, 0u);
-    EXPECT_LT(wire.acc.wasted_grant_slots, legacy.acc.wasted_grant_slots);
-    EXPECT_LT(wire.peak_staging, legacy.peak_staging);
+    EXPECT_EQ(wire.acc.wasted_grant_slots, 0u);
+    EXPECT_LT(wire.acc.grants_parked, payload.acc.grants_parked);
+    EXPECT_LT(wire.peak_staging, payload.peak_staging);
     EXPECT_EQ(wire.ledger_left, 0u);
 
     // The wire-charged schedule is engine-invariant too: per-block and
-    // train emission must agree bit-exactly, as they do in legacy mode.
+    // train emission must agree bit-exactly, as they do under payload
+    // charging.
     const IncastResult per_block =
-        runIncast(Mix::Mixed, 20, true, 1, /*wire_charged=*/true);
+        runIncast(Mix::Mixed, 20, 1, /*wire_charged=*/true);
     EXPECT_EQ(wire.end_time, per_block.end_time);
     EXPECT_EQ(wire.grants, per_block.grants);
     EXPECT_EQ(wire.completed, per_block.completed);
@@ -480,8 +429,8 @@ TEST(SchedulerLedger, WireChargedOccupancyShrinksIncastStaging)
 
 TEST(SchedulerLedger, IdWrapStallsInsteadOfPanicking)
 {
-    // Legacy-incast follow-up (ROADMAP, PR 4): 8-bit message ids wrap
-    // at 256 sends per destination, and a long-enough run with one
+    // Incast follow-up (CHANGES.md, PR 4): 8-bit message ids wrap at
+    // 256 sends per destination, and a long-enough run with one
     // stranded flow eventually wrapped onto its still-live id — an
     // EDM_PANIC in HostStack::launch. The host must stall the new send
     // until the id frees instead.
@@ -545,7 +494,6 @@ TEST(SchedulerLedger, OrphanedParkedGrantsExpire)
     // persisting until a later message reuses its (dst, id) and drains
     // chunks that were never granted to it.
     EdmConfig cfg;
-    cfg.strict_grant_accounting = true;
     cfg.parked_grant_timeout = 2 * kMicrosecond;
     Simulation sim;
     HostStack host(0, cfg, sim.events(), /*has_memory=*/true, [] {});
@@ -574,7 +522,6 @@ TEST(SchedulerLedger, UplinkDisableDropsParkedGrants)
     // grants on a node whose uplink died — it can never answer them.
     trace::EventLog log;
     EdmConfig cfg;
-    cfg.strict_grant_accounting = true;
     cfg.parked_grant_timeout = 0;
     cfg.event_log = &log;
     Simulation sim;
@@ -634,7 +581,6 @@ TEST(SchedulerLedger, AbortPortSweepsFlowsInKeyOrder)
     trace::EventLog log;
     EdmConfig cfg;
     cfg.num_nodes = 5;
-    cfg.strict_grant_accounting = true;
     cfg.event_log = &log;
     Simulation sim;
     int granted = 0;
@@ -704,7 +650,6 @@ TEST(SchedulerLedger, RepairReopensLedgerAndRegrants)
     // ledgered and retired exactly like on a never-failed link.
     EdmConfig cfg;
     cfg.num_nodes = 2;
-    cfg.strict_grant_accounting = true;
     cfg.link_error_threshold = 4;
     cfg.read_timeout = 2 * kMicrosecond;
     Simulation sim;

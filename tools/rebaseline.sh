@@ -21,7 +21,7 @@
 #   --build-dir   CMake build tree holding the binaries (default: build)
 #   --modes       which baseline mode set to refresh (default: all).
 #                   legacy     kGoldenFig6 kGoldenFig8a kGoldenFig8b
-#                              kGoldenClusterSweep
+#                              kGoldenClusterSweep (payload charging)
 #                   wire       kGoldenFig8aWire kGoldenClusterSweepWire
 #                              kGoldenChunkSweepWire
 #                   leafspine  kGoldenLeafSpine
