@@ -19,10 +19,6 @@
  * The pairwise section runs a 24-node workload of 12 node pairs
  * exchanging 2 KB reads and writes on the pr3 engine.
  *
- * The chunk-sweep section measures the PR 5 follow-up — grant chunk
- * size under wire-charged occupancy (scenarios/chunk_sweep_wire.edm
- * carries the declarative form, kGoldenChunkSweepWire the baseline).
- *
  * The leaf-spine section measures the PR 9 multi-tier fabric — a
  * 32-host four-leaf incast under the sharded scheduler (train cap
  * pinned as in scenarios/leaf_spine.edm; docs/TOPOLOGY.md).
@@ -63,7 +59,7 @@ struct RunStats
     std::uint64_t completions = 0;
     std::uint64_t frames = 0;
     edm::Picoseconds end_time = 0;
-    double read_p99_ns = 0; ///< chunk-sweep rows only
+    double read_p99_ns = 0; ///< fair-share rows only
 };
 
 enum class Load
@@ -341,65 +337,6 @@ runLeafSpine(std::uint64_t ops_per_node)
 }
 
 /**
- * Grant-chunk size under wire-charged occupancy (the PR 5 follow-up):
- * the 7-to-1 incast regime where the chunk size decides how coarsely
- * the scheduler meters the contested memory downlink.
- */
-RunStats
-runChunkSweep(Bytes chunk, std::uint64_t ops_per_node)
-{
-    Simulation sim;
-    EdmConfig cfg;
-    cfg.num_nodes = kNodes;
-    cfg.link_rate = Gbps{25.0};
-    cfg.wire_charged_occupancy = true;
-    cfg.chunk_bytes = chunk;
-    const NodeId mem = kNodes - 1;
-    CycleFabric fab(cfg, sim, {mem});
-    fab.host(mem).store()->write(0x10000,
-                                 std::vector<std::uint8_t>(1024, 0x5A));
-
-    RunStats rs;
-    std::vector<std::uint64_t> remaining(kNodes - 1, ops_per_node);
-    std::function<void(NodeId)> issue = [&](NodeId n) {
-        if (remaining[n] == 0)
-            return;
-        --remaining[n];
-        if ((remaining[n] % 3) == 0) {
-            fab.write(n, mem,
-                      0x20000 + static_cast<std::uint64_t>(n) * 0x10000,
-                      std::vector<std::uint8_t>(
-                          700, static_cast<std::uint8_t>(n)),
-                      [&issue, n](Picoseconds) { issue(n); });
-        } else {
-            fab.read(n, mem, 0x10000, 900,
-                     [&issue, n](std::vector<std::uint8_t>, Picoseconds,
-                                 bool) { issue(n); });
-        }
-    };
-
-    const auto t0 = std::chrono::steady_clock::now();
-    for (NodeId n = 0; n < kNodes - 1; ++n)
-        issue(n);
-    sim.run();
-    rs.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    for (NodeId n = 0; n < kNodes; ++n) {
-        const auto &st = fab.host(n).stats();
-        rs.blocks += st.mem_blocks_sent + st.mem_blocks_received;
-        rs.completions += st.reads_completed + st.writes_completed;
-    }
-    rs.events = sim.events().executed();
-    rs.end_time = sim.now();
-    const Samples &reads = fab.readLatency();
-    rs.read_p99_ns = reads.count() ? reads.percentile(99) : 0.0;
-    requireAllCompleted("chunk-sweep-wire/" + std::to_string(chunk), rs,
-                        (kNodes - 1) * ops_per_node);
-    return rs;
-}
-
-/**
  * Fair-share arbitration overhead (PR 10): the tenant_isolation pool
  * layout (weighted bulk, rate-limited bulk, latency-sensitive) on a
  * 17-node incast, with the hierarchical pool tree off vs on. The off
@@ -579,28 +516,6 @@ main(int argc, char **argv)
                  {"ns_per_block",
                   ls.wall_s / static_cast<double>(ls.blocks) * 1e9},
                  {"events", static_cast<double>(ls.events)}});
-
-    // ---- PR 5 follow-up: chunk size under wire-charged occupancy ----
-    std::printf("\n=== chunk-bytes sweep, wire-charged occupancy, "
-                "7-to-1 incast ===\n\n");
-    std::printf("  %-12s %12s %12s %12s\n", "chunk", "Mblocks/s",
-                "read p99 ns", "end us");
-    for (Bytes chunk : {Bytes{128}, Bytes{256}, Bytes{512}, Bytes{1024}}) {
-        const RunStats r = runChunkSweep(chunk, ops);
-        std::printf("  %-12llu %12.2f %12.1f %12.1f\n",
-                    static_cast<unsigned long long>(chunk),
-                    static_cast<double>(r.blocks) / r.wall_s / 1e6,
-                    r.read_p99_ns,
-                    static_cast<double>(r.end_time) / 1e6);
-        json.record("chunk-sweep-wire",
-                    "chunk-" + std::to_string(chunk) + "B",
-                    {{"blocks_per_sec",
-                      static_cast<double>(r.blocks) / r.wall_s},
-                     {"read_p99_ns", r.read_p99_ns},
-                     {"end_time_us",
-                      static_cast<double>(r.end_time) / 1e6},
-                     {"events", static_cast<double>(r.events)}});
-    }
 
     // ---- PR 10: multi-tenant fair-share arbitration -----------------
     std::printf("\n=== fair-share arbitration: 17-node tenanted incast, "

@@ -10,6 +10,7 @@
 
 #include "analytic/latency_model.hpp"
 #include "core/fabric.hpp"
+#include "core/occupancy.hpp"
 
 using namespace edm;
 using analytic::FabricLatency;
@@ -85,24 +86,24 @@ main()
     std::printf("(paper: 3.7/1.9, 6.8/3.4, 12.7/6.4)\n\n");
 
     // Loaded operation adds one line occupancy per granted chunk on top
-    // of the unloaded totals above; what the scheduler *reserves* for
-    // it depends on the charging mode (docs/WIRE_FORMAT.md).
-    core::EdmConfig occ; // 25G testbed defaults
-    core::EdmConfig occ_wire = occ;
-    occ_wire.wire_charged_occupancy = true;
-    std::printf("per-chunk line occupancy charge, %llu B chunks at 25G "
-                "(legacy payload l/B -> wire-charged blocks):\n",
+    // of the unloaded totals above. The scheduler reserves the payload
+    // charge l/B; the chunk's 66-bit blocks take the longer wire
+    // line-time, and the difference is what egress staging absorbs
+    // (docs/WIRE_FORMAT.md).
+    const core::EdmConfig occ; // 25G testbed defaults
+    std::printf("per-chunk line occupancy, %llu B chunks at 25G "
+                "(payload charge l/B vs wire line-time):\n",
                 static_cast<unsigned long long>(occ.chunk_bytes));
-    std::printf("  read  (RRES framing) %7.2f ns -> %7.2f ns\n",
-                toNs(analytic::chunkOccupancy(occ, true,
-                                              occ.chunk_bytes)),
-                toNs(analytic::chunkOccupancy(occ_wire, true,
-                                              occ.chunk_bytes)));
-    std::printf("  write (WREQ framing) %7.2f ns -> %7.2f ns\n\n",
-                toNs(analytic::chunkOccupancy(occ, false,
-                                              occ.chunk_bytes)),
-                toNs(analytic::chunkOccupancy(occ_wire, false,
-                                              occ.chunk_bytes)));
+    for (const bool read : {true, false}) {
+        const core::MemMsgType type =
+            read ? core::MemMsgType::RRES : core::MemMsgType::WREQ;
+        std::printf("  %-5s (%s framing) %7.2f ns vs %7.2f ns\n",
+                    read ? "read" : "write", read ? "RRES" : "WREQ",
+                    toNs(core::grantOccupancy(occ, occ.chunk_bytes)),
+                    toNs(core::chunkLineTime(type, occ.chunk_bytes,
+                                             occ.link_rate)));
+    }
+    std::printf("\n");
 
     // Cross-check: the cycle-level simulator measures the same EDM
     // fabric plus serialization and DRAM, which we report separately.

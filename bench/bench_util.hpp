@@ -76,8 +76,7 @@ fabricName(Fabric f)
 inline std::unique_ptr<proto::FabricModel>
 makeModel(Fabric f, Simulation &sim, const proto::ClusterConfig &cluster,
           core::Priority edm_priority = core::Priority::Srpt,
-          Bytes edm_chunk = 256, int edm_x = 3,
-          bool edm_wire_charged = false)
+          Bytes edm_chunk = 256, int edm_x = 3)
 {
     switch (f) {
       case Fabric::Edm: {
@@ -85,7 +84,6 @@ makeModel(Fabric f, Simulation &sim, const proto::ClusterConfig &cluster,
         cfg.priority = edm_priority;
         cfg.chunk_bytes = edm_chunk;
         cfg.max_notifications = edm_x;
-        cfg.wire_charged_occupancy = edm_wire_charged;
         return std::make_unique<proto::EdmFlowModel>(sim, cluster, cfg);
       }
       case Fabric::Ird:
@@ -276,9 +274,6 @@ struct PointSpec
     core::Priority edm_priority = core::Priority::Srpt;
     Bytes edm_chunk = 256;
     int edm_x = 3;
-
-    /** EDM only: wire-charged port occupancy (core/occupancy.hpp). */
-    bool edm_wire_charged = false;
 };
 
 /** Run one experiment point. A new knob only touches PointSpec here. */
@@ -289,7 +284,7 @@ runPoint(const PointSpec &p)
     proto::ClusterConfig cluster;
     cluster.num_nodes = 144; // §4.3 setup
     auto model = makeModel(p.fabric, sim, cluster, p.edm_priority,
-                           p.edm_chunk, p.edm_x, p.edm_wire_charged);
+                           p.edm_chunk, p.edm_x);
 
     workload::SyntheticConfig cfg;
     cfg.num_nodes = cluster.num_nodes;
@@ -320,8 +315,7 @@ runPoint(Fabric f, double load, double write_fraction,
          std::uint64_t messages, const Cdf &size_cdf = {},
          std::uint64_t seed = 42,
          core::Priority edm_priority = core::Priority::Srpt,
-         Bytes edm_chunk = 256, int edm_x = 3,
-         bool edm_wire_charged = false)
+         Bytes edm_chunk = 256, int edm_x = 3)
 {
     PointSpec p;
     p.fabric = f;
@@ -333,7 +327,6 @@ runPoint(Fabric f, double load, double write_fraction,
     p.edm_priority = edm_priority;
     p.edm_chunk = edm_chunk;
     p.edm_x = edm_x;
-    p.edm_wire_charged = edm_wire_charged;
     return runPoint(p);
 }
 

@@ -3,7 +3,8 @@
  * Domain example: incast contention stress on the cycle-level fabric —
  * the over-grant regime, where grants outrun their forwarded requests.
  *
- * Two sweeps, each run in two port-charging modes:
+ * Two sweeps on the demand-lifecycle ledger with the payload-byte port
+ * charge (l/B):
  *
  *   N-to-1      fan-in senders hammer one memory node with closed-loop
  *               mixed 900 B reads / 700 B writes. Read-request forwards
@@ -16,21 +17,11 @@
  *               (the grant-direction ambiguity regime on top of the
  *               contention).
  *
- * The modes:
+ * Early grants park and demands retire on the observed final /MT/, so
+ * nothing is wasted, but the payload charge leaves each chunk's framing
+ * blocks unpaid and egress staging piles up (docs/WIRE_FORMAT.md).
  *
- *   strict  the demand-lifecycle ledger with the historical payload-byte
- *           port charge (l/B): early grants park, demands retire on the
- *           observed final /MT/ — nothing wasted, but the under-charged
- *           port timers still let egress staging pile up.
- *   wire    wire-charged occupancy (EdmConfig::wire_charged_occupancy)
- *           on the same ledger: port timers charge the chunk's exact
- *           66-bit block line-time (docs/WIRE_FORMAT.md), pacing grants
- *           at the true wire drain rate. The staging that let grants
- *           outrun their forwards never builds — in the N-to-1 incast
- *           regime peak egress staging drops well below strict, and
- *           almost nothing even needs parking.
- *
- * The table quantifies both per point: completions, wasted granted
+ * The table quantifies this per point: completions, wasted granted
  * slots, parked grants, stranded flows, peak egress staging depth
  * (CycleFabric::peakEgressStaging) and read p99.
  *
@@ -38,8 +29,8 @@
  * runIncastPoint — the same code scenarios/incast.edm runs through
  * examples/run_scenario.cpp, so the two tables are bit-identical.
  *
- * Every (point, mode) pair runs as an independent scenario on the
- * ScenarioRunner pool; EDM_SWEEP_THREADS pins the worker count.
+ * Every point runs as an independent scenario on the ScenarioRunner
+ * pool; EDM_SWEEP_THREADS pins the worker count.
  *
  * Build & run:   ./build/incast_stress [rounds] [--quick] [--storm]
  * (--quick: one point per pattern at EDM_BENCH_SCALE-scaled rounds —
@@ -81,29 +72,6 @@ using namespace edm;
 using namespace edm::core;
 
 constexpr int kChainsPerNode = 6;
-
-enum class Mode
-{
-    Strict, ///< demand-lifecycle ledger + payload-byte port charge
-    Wire,   ///< wire-charged occupancy + the same ledger
-};
-
-const char *
-modeName(Mode m)
-{
-    switch (m) {
-      case Mode::Strict: return "strict";
-      case Mode::Wire: return "wire";
-    }
-    return "?";
-}
-
-struct Point
-{
-    const char *pattern; ///< "N-to-1" or "all-to-all"
-    std::size_t nodes;
-    Mode mode;
-};
 
 /**
  * --tenants: the noisy-neighbor isolation sweep over the
@@ -291,29 +259,20 @@ main(int argc, char **argv)
 
     // The occupancy model's prediction for the peakstage column: every
     // full chunk the payload charge paces through a saturated egress
-    // leaves this many unpaid framing blocks behind in staging; the
-    // wire charge leaves none.
+    // leaves this many unpaid framing blocks behind in staging.
     {
-        EdmConfig cfg;
+        const EdmConfig cfg;
         std::printf("staging-growth model (core::"
                     "stagingGrowthBlocksPerChunk, %llu B chunks): "
-                    "payload %.1f blocks/write chunk, %.1f blocks/read "
-                    "chunk; wire-charged %.1f\n\n",
+                    "%.1f blocks/write chunk, %.1f blocks/read chunk\n\n",
                     static_cast<unsigned long long>(cfg.chunk_bytes),
                     stagingGrowthBlocksPerChunk(cfg, false,
                                                 cfg.chunk_bytes),
                     stagingGrowthBlocksPerChunk(cfg, true,
-                                                cfg.chunk_bytes),
-                    [&] {
-                        EdmConfig wire = cfg;
-                        wire.wire_charged_occupancy = true;
-                        return stagingGrowthBlocksPerChunk(
-                            wire, false, wire.chunk_bytes);
-                    }());
+                                                cfg.chunk_bytes));
     }
 
-    constexpr Mode kModes[] = {Mode::Strict, Mode::Wire};
-    std::vector<Point> points;
+    std::vector<IncastPoint> points;
     const std::vector<std::size_t> n_to_1 =
         quick ? std::vector<std::size_t>{9}
               : std::vector<std::size_t>{5, 9, 13};
@@ -321,12 +280,10 @@ main(int argc, char **argv)
         quick ? std::vector<std::size_t>{4}
               : std::vector<std::size_t>{4, 8};
     for (const std::size_t n : n_to_1)
-        for (const Mode m : kModes)
-            points.push_back(Point{"N-to-1", n, m});
+        points.push_back(IncastPoint{"N-to-1", n});
     if (!storm) // the storm campaign targets the N-to-1 fan-in only
         for (const std::size_t n : all_to_all)
-            for (const Mode m : kModes)
-                points.push_back(Point{"all-to-all", n, m});
+            points.push_back(IncastPoint{"all-to-all", n});
 
     IncastWorkload workload;
     workload.chains_per_node = kChainsPerNode;
@@ -348,28 +305,25 @@ main(int argc, char **argv)
     ScenarioRunner::Options opts;
     opts.base_seed = 7;
     ScenarioRunner runner(opts);
-    for (const Point &pt : points) {
-        runner.add(std::string(pt.pattern) + "/" +
-                       std::to_string(pt.nodes) + "/" + modeName(pt.mode),
+    for (const IncastPoint &pt : points) {
+        runner.add(pt.pattern + "/" + std::to_string(pt.nodes),
                    [pt, workload, rounds, storm,
                     &faults](ScenarioContext &ctx) {
                        EdmConfig cfg;
-                       cfg.wire_charged_occupancy = pt.mode == Mode::Wire;
                        if (storm) {
                            cfg.read_timeout = 150000 * kNanosecond;
                            cfg.read_retry_limit = 5;
                            cfg.read_retry_base = 5000 * kNanosecond;
                            cfg.link_error_threshold = 8;
                        }
-                       runIncastPoint(ctx,
-                                      IncastPoint{pt.pattern, pt.nodes},
-                                      workload, rounds, cfg, &faults);
+                       runIncastPoint(ctx, pt, workload, rounds, cfg,
+                                      &faults);
                    });
     }
     const auto results = runner.runAll();
 
-    std::printf("  %-11s %6s %-7s %8s %9s %8s %8s %9s %9s %11s",
-                "pattern", "nodes", "mode", "offered", "completed",
+    std::printf("  %-11s %6s %8s %9s %8s %8s %9s %9s %11s",
+                "pattern", "nodes", "offered", "completed",
                 "wasted", "parked", "stranded", "peakstage", "read p99ns");
     if (storm)
         std::printf(" %7s %8s %9s %9s %12s", "downed", "retried",
@@ -377,10 +331,10 @@ main(int argc, char **argv)
     std::printf("\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto &r = results[i];
-        const Point &pt = points[i];
-        std::printf("  %-11s %6zu %-7s %8.0f %9.0f %8.0f %8.0f %9.0f "
+        const IncastPoint &pt = points[i];
+        std::printf("  %-11s %6zu %8.0f %9.0f %8.0f %8.0f %9.0f "
                     "%9.0f %11.1f",
-                    pt.pattern, pt.nodes, modeName(pt.mode),
+                    pt.pattern.c_str(), pt.nodes,
                     r.metricStat("offered").mean(),
                     r.metricStat("completed").mean(),
                     r.metricStat("wasted_slots").mean(),
@@ -399,12 +353,10 @@ main(int argc, char **argv)
     }
 
     std::printf(
-        "\nstrict rows park early grants and retire demands on the "
-        "observed final /MT/, so no granted slot is wasted;\n"
-        "wire rows additionally charge port timers the exact 66-bit "
-        "block line-time (EdmConfig::wire_charged_occupancy)\nso grants "
-        "pace at the true drain rate — in the N-to-1 incast regime peak "
-        "egress staging drops well below strict\n"
+        "\nearly grants park and demands retire on the observed final "
+        "/MT/, so no granted slot is wasted;\n"
+        "the payload port charge leaves each chunk's framing blocks "
+        "unpaid, so peak egress staging grows with the grant count\n"
         "(docs/WIRE_FORMAT.md has the arithmetic).\n");
     return 0;
 }

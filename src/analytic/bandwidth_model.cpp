@@ -44,8 +44,8 @@ requestCost(Framing framing, workload::YcsbWorkload w)
     if (framing == Framing::Edm) {
         // Per-message wire budgets come from the shared wire-occupancy
         // model (core/occupancy.hpp): 66-bit blocks including /MS/,
-        // address and /MT/ framing — the same block counts the
-        // scheduler's wire-charged port timers reserve.
+        // address and /MT/ framing — the same block counts
+        // serialize() puts on the wire.
         const double rreq =
             core::wireOccupancyBytes(core::MemMsgType::RREQ, 0);
         const double rres =

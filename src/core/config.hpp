@@ -201,24 +201,6 @@ struct EdmConfig
     bool strict_grant_accounting = true;
 
     /**
-     * Charge port-occupancy timers the chunk's exact wire line-time
-     * instead of the raw payload serialization `l/B`. A granted chunk
-     * travels as 66-bit blocks — /MS/, an address block for writes, one
-     * data block per 8 payload bytes, /MT/ — so a 256 B write chunk
-     * occupies 35 block slots = 89.6 ns at 25G, ~9% more than the
-     * 81.92 ns the payload charge reserves. That systematic under-charge
-     * is what backs up egress staging under incast and lets /G/ grants
-     * outrun their flow's forwarded request. On, the scheduler (and the
-     * flow-level model's chunk serialization) charge the exact block
-     * count from core/occupancy.hpp, pacing grants at the true wire
-     * rate. Off by default: payload charging reproduces the historical
-     * schedules bit-exactly. Turning it on changes every schedule — see
-     * docs/REBASELINE.md for the golden-rebaseline procedure and
-     * docs/WIRE_FORMAT.md for the arithmetic.
-     */
-    bool wire_charged_occupancy = false;
-
-    /**
      * How long a parked grant may wait for the request it outran before
      * it is dropped as orphaned (its forwarded RREQ was lost to a
      * fault, or the grant was issued against an evicted ledger id). A
@@ -301,20 +283,6 @@ struct EdmConfig
      * Table 1 caption). Memory traffic never pays this.
      */
     Picoseconds l2_pipeline = 400 * kNanosecond;
-
-    /**
-     * Wire-charged mode refinement: also charge the preemption
-     * re-entry block (core::kPreemptionReentryBlocks — the frame block
-     * the mux owes its interrupted frame after a memory message) on
-     * grants whose destination port has an active frame backlog.
-     * Without it, measured port occupancy undercounts mixed-traffic
-     * ports by one block slot per preempting chunk; the analytic
-     * staging-growth estimate already charges it. Only consulted when
-     * wire_charged_occupancy is on. Changes mixed-traffic schedules —
-     * rebaseline per docs/REBASELINE.md. Off by default: both
-     * payload-charged and wire golden values are reproduced bit-exactly.
-     */
-    bool charge_preemption_reentry = false;
 
     /**
      * Structured event log of fabric decisions (grants, ledger

@@ -43,22 +43,6 @@ CycleFabric::CycleFabric(const EdmConfig &cfg, Simulation &sim,
     train_cap_ = trainCap(cfg_.max_train_blocks);
     frame_train_cap_ = trainCap(cfg_.max_frame_train_blocks);
 
-    // Frame-activity probe for the preemption re-entry charge
-    // (EdmConfig::charge_preemption_reentry): a grant's data crosses the
-    // source uplink and the destination downlink, so frame backlog on
-    // either segment means the memory stream will preempt an L2 stream
-    // and pay the re-entry slots on the way back. The scheduler only
-    // consults the probe when both gating flags are on.
-    for (auto &sw : switches_) {
-        sw->scheduler().setFrameActivityProbe(
-            [this](NodeId src, NodeId dst) {
-                return hosts_[src]->mux().frameBacklog() > 0 ||
-                    !frame_backlog_[src].empty() ||
-                    leafSw(dst).egressMux(dst).frameBacklog() > 0 ||
-                    !leafSw(dst).egressFrameBacklog(dst).empty();
-            });
-    }
-
     // Fail-fast read retries: a fault abort that retires a response
     // flow means the reader's data sender went dark — route the abort
     // to the waiting reader so it re-issues on the backoff path instead

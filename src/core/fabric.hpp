@@ -193,8 +193,7 @@ class CycleFabric
      * EdmConfig::max_train_blocks while every latency stays identical
      * (ROADMAP's train-invariant measurement item). Grows with the
      * payload-charged per-chunk occupancy under-charge
-     * (core::stagingGrowthBlocksPerChunk); wire-charged occupancy
-     * (EdmConfig::wire_charged_occupancy) keeps it shallow.
+     * (core::stagingGrowthBlocksPerChunk).
      */
     std::size_t peakEgressStaging() const;
 

@@ -2,8 +2,8 @@
  * @file
  * Hierarchical fair-share pool tree (PR 10, docs/FAIR_SHARE.md).
  *
- * The scheduler's demand-lifecycle ledger (PR 4) and wire-charged
- * occupancy (PR 5) give honest per-flow byte and line-time accounting;
+ * The scheduler's demand-lifecycle ledger (PR 4) and per-grant port
+ * occupancy charge give honest per-flow byte and line-time accounting;
  * this module builds tenancy on top: a pool tree
  * (root → pools → tenant hosts → flows) that arbitrates grant
  * issuance between pools instead of treating all demand as one

@@ -8,35 +8,20 @@
  * (WREQ), one data block per 8 payload bytes, and a trailing /MT/ — and
  * every one of those blocks takes a full block slot (64 payload bits of
  * line budget; 2.56 ns at 25G). A 256 B write chunk is therefore
- * 35 blocks = 89.6 ns of wire, not the 81.92 ns the raw-payload charge
- * `l/B` accounts for — a ~9% systematic under-charge that lets the
- * scheduler release ports faster than the egress can drain, backing up
- * egress staging and letting /G/ grants outrun their flow's forwarded
- * request (the over-grant regime of the demand-lifecycle ledger work).
+ * 35 blocks = 89.6 ns of wire.
  *
- * Everything that reasons about per-chunk line occupancy goes through
- * this header: the scheduler's port-occupancy timers
- * (`grantOccupancy`, `requestForwardOccupancy`), the flow-level EDM
- * latency model's chunk serialization, the analytic bandwidth model's
- * per-message byte budgets (`wireOccupancyBytes`, `kBlockWireBytes`),
- * and the egress staging-depth estimates
- * (`stagingGrowthBlocksPerChunk`). The charging policy is selected by
- * `EdmConfig::wire_charged_occupancy`:
- *
- *   off (default)  payload charging, bit-exact historical schedules:
- *                  ports are charged the raw payload serialization
- *                  `transmissionDelay(l, B)`
- *                  (and request forwards the historical
- *                  `wireBytes + 1` byte rounding);
- *   on             ports are charged the exact block-count line-time,
- *                  so consecutive chunks are paced at the true wire
- *                  rate and egress staging cannot accumulate the
- *                  per-chunk under-charge.
+ * The scheduler nevertheless charges its port-occupancy timers the raw
+ * payload serialization `l/B` (81.92 ns for that chunk — the §3.1.1
+ * step 7 rule; `grantOccupancy`, `requestForwardOccupancy`). The
+ * framing blocks the payload charge leaves unpaid are what egress
+ * staging absorbs under a saturated incast; the block arithmetic here
+ * estimates that growth (`stagingGrowthBlocksPerChunk`) and feeds the
+ * analytic bandwidth model's per-message byte budgets
+ * (`wireOccupancyBytes`, `kBlockWireBytes`).
  *
  * The arithmetic is documented with worked examples in
  * docs/WIRE_FORMAT.md; the golden-rebaseline procedure for adopting a
- * schedule-changing charge (like turning this knob on) is
- * docs/REBASELINE.md.
+ * schedule-changing charge is docs/REBASELINE.md.
  */
 
 #ifndef EDM_CORE_OCCUPANCY_HPP
@@ -94,11 +79,9 @@ chunkLineTime(MemMsgType type, Bytes payload, Gbps rate)
  * policy one staged frame block may claim the slot between two memory
  * messages (the mux re-alternates at every /MT/ boundary), so on a port
  * that also carries L2 frames a chunk's first block can slip one slot.
- * Never charged on frame-free fabrics — that would systematically
- * over-reserve — but staging-depth estimates for mixed traffic add it
- * per chunk, and wire-charged grants add it too when
- * EdmConfig::charge_preemption_reentry is on and the destination port
- * has an active frame backlog (grantOccupancy's @p frame_active).
+ * Never part of the port charge — on a frame-free fabric that would
+ * systematically over-reserve — but staging-depth estimates for mixed
+ * traffic add it per chunk.
  */
 inline constexpr std::size_t kPreemptionReentryBlocks = 1;
 
@@ -119,47 +102,27 @@ inline constexpr double kBlockWireBytes =
 
 /**
  * Port-occupancy charge for a granted chunk of @p chunk bytes
- * (§3.1.1 step 7: both ports stay reserved this long after the grant).
- * @p response selects the chunk framing: RRES chunks have no address
- * block, WREQ chunks do.
- *
- * Payload charging returns the historical raw-payload serialization
- * delay bit-exactly; wire-charged mode returns the exact block
- * line-time, plus the preemption re-entry slot when @p frame_active
- * reports an L2 frame backlog on the destination port and
- * EdmConfig::charge_preemption_reentry opts in.
+ * (§3.1.1 step 7: both ports stay reserved this long after the grant):
+ * the raw payload serialization `l/B`. Every tier a granted chunk
+ * traverses carries the same charge.
  */
 inline Picoseconds
-grantOccupancy(const EdmConfig &cfg, bool response, Bytes chunk,
-               bool frame_active = false)
+grantOccupancy(const EdmConfig &cfg, Bytes chunk)
 {
-    if (!cfg.wire_charged_occupancy)
-        return transmissionDelay(chunk, cfg.link_rate);
-    Picoseconds charge = chunkLineTime(
-        response ? MemMsgType::RRES : MemMsgType::WREQ, chunk,
-        cfg.link_rate);
-    if (frame_active && cfg.charge_preemption_reentry)
-        charge += lineTime(kPreemptionReentryBlocks, cfg.link_rate);
-    return charge;
+    return transmissionDelay(chunk, cfg.link_rate);
 }
 
 /**
  * Port-occupancy charge for forwarding a buffered RREQ/RMWREQ to the
- * memory node (the implicit first grant of a response demand).
- *
- * Payload charging reproduces the historical `wireBytes + 1` byte
- * rounding bit-exactly; wire-charged mode charges the request's exact
- * block count (3 slots for an RREQ, 5 for an RMWREQ).
+ * memory node (the implicit first grant of a response demand): the
+ * request's wire bytes rounded up by one byte (`wireBytes + 1`).
  */
 inline Picoseconds
 requestForwardOccupancy(const EdmConfig &cfg, const MemMessage &req)
 {
-    if (!cfg.wire_charged_occupancy) {
-        const auto req_bytes = static_cast<Bytes>(
-            wireBytes(req.type, req.payload.size()) + 1.0);
-        return transmissionDelay(req_bytes, cfg.link_rate);
-    }
-    return chunkLineTime(req.type, req.payload.size(), cfg.link_rate);
+    const auto req_bytes = static_cast<Bytes>(
+        wireBytes(req.type, req.payload.size()) + 1.0);
+    return transmissionDelay(req_bytes, cfg.link_rate);
 }
 
 /**
@@ -196,36 +159,13 @@ toString(LinkTier tier)
 }
 
 /**
- * Occupancy charged to one tier by a granted chunk. Every tier a chunk
- * traverses carries its full line-time (the chunk is cut-through: its
- * blocks occupy each tier back-to-back for one chunk serialization),
- * so the per-tier charge is the same grantOccupancy the port timers
- * use — minus the preemption re-entry refinement, which is a
- * host-port-edge effect and never applies to trunk or spine lanes. The
- * spine tier is charged for accounting visibility only (the spine is
- * contention-free transport, docs/TOPOLOGY.md); trunk-lane busy timers
- * are the tier charge that actually gates grants.
- */
-inline Picoseconds
-tierOccupancy(const EdmConfig &cfg, LinkTier tier, bool response,
-              Bytes chunk, bool frame_active = false)
-{
-    const bool edge_tier =
-        tier == LinkTier::LeafIngress || tier == LinkTier::LeafEgress;
-    return grantOccupancy(cfg, response, chunk,
-                          edge_tier ? frame_active : false);
-}
-
-/**
  * Estimated egress-staging growth, in blocks, contributed by one
  * granted chunk: the gap between the chunk's true line-time and the
- * occupancy the scheduler charged for it, expressed in block slots
- * (plus the preemption re-entry slot when the port also carries frame
- * traffic). Under payload charging this is positive — every chunk
- * through a saturated egress leaves this many blocks behind in the
- * staging queues, which is why incast staging depth grows with the
- * grant count — and exactly zero under wire-charged occupancy on a
- * frame-free port.
+ * payload occupancy the scheduler charged for it, expressed in block
+ * slots (plus the preemption re-entry slot when the port also carries
+ * frame traffic). Every chunk through a saturated egress leaves this
+ * many blocks behind in the staging queues, which is why incast
+ * staging depth grows with the grant count.
  */
 inline double
 stagingGrowthBlocksPerChunk(const EdmConfig &cfg, bool response,
@@ -234,7 +174,7 @@ stagingGrowthBlocksPerChunk(const EdmConfig &cfg, bool response,
     const Picoseconds true_time = chunkLineTime(
         response ? MemMsgType::RRES : MemMsgType::WREQ, chunk,
         cfg.link_rate);
-    const Picoseconds charged = grantOccupancy(cfg, response, chunk);
+    const Picoseconds charged = grantOccupancy(cfg, chunk);
     double growth = static_cast<double>(true_time - charged) /
         static_cast<double>(wireBlockTime(cfg.link_rate));
     if (with_frames)

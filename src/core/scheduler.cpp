@@ -120,11 +120,9 @@ Scheduler::noteRemoteForward(NodeId dst, std::size_t lane,
 }
 
 void
-Scheduler::chargeTier(LinkTier tier, const Demand &d, Bytes chunk,
-                      bool frame_active, Picoseconds when)
+Scheduler::chargeTier(LinkTier tier, const Demand &d, Picoseconds charge,
+                      Picoseconds when)
 {
-    const Picoseconds charge =
-        tierOccupancy(cfg_, tier, d.response, chunk, frame_active);
     tier_charged_ps_[static_cast<std::size_t>(tier)] +=
         static_cast<std::uint64_t>(charge);
     if (auto *log = cfg_.event_log)
@@ -584,17 +582,9 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
 
     // Release both ports one chunk occupancy after the grant leaves, so
     // the next chunk's first bit lands right behind this chunk's last
-    // bit (§3.1.1 step 7). Payload charging reserves the raw payload
-    // serialization l/B; wire-charged mode charges the chunk's exact
-    // 66-bit block line-time (core/occupancy.hpp), which also covers the
-    // /MS/, address and /MT/ framing the payload charge leaves unpaid —
-    // plus, when charge_preemption_reentry opts in, the re-entry slot a
-    // frame-carrying destination port owes its interrupted frame.
-    const bool frame_active = cfg_.wire_charged_occupancy &&
-        cfg_.charge_preemption_reentry && frame_probe_ &&
-        frame_probe_(d.src, d.dst);
-    const Picoseconds occupancy =
-        grantOccupancy(cfg_, d.response, l, frame_active);
+    // bit (§3.1.1 step 7): the raw payload serialization l/B
+    // (core/occupancy.hpp).
+    const Picoseconds occupancy = grantOccupancy(cfg_, l);
     if (fair_tree_) {
         // Charge the granted data's line-time to the client's pool:
         // advances its virtual time (the fairness currency) and its
@@ -632,12 +622,12 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         // Per-tier occupancy accounting (docs/TOPOLOGY.md): edge tiers
         // carry the full grant charge; cross-leaf chunks additionally
         // occupy a trunk lane and the spine for the same line-time.
-        chargeTier(LinkTier::LeafIngress, d, l, frame_active, when);
+        chargeTier(LinkTier::LeafIngress, d, occupancy, when);
         if (isCrossLeaf(d)) {
-            chargeTier(LinkTier::Trunk, d, l, false, when);
-            chargeTier(LinkTier::Spine, d, l, false, when);
+            chargeTier(LinkTier::Trunk, d, occupancy, when);
+            chargeTier(LinkTier::Spine, d, occupancy, when);
         }
-        chargeTier(LinkTier::LeafEgress, d, l, frame_active, when);
+        chargeTier(LinkTier::LeafEgress, d, occupancy, when);
     }
 
     d.remaining -= l;

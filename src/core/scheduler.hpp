@@ -150,16 +150,6 @@ class Scheduler
     using GrantSink = std::function<void(const GrantAction &)>;
 
     /**
-     * Answers "does this src→dst path currently carry an L2 frame
-     * backlog?" — installed by the fabric so wire-charged grants can
-     * charge the preemption re-entry slot
-     * (EdmConfig::charge_preemption_reentry). The scheduler itself has
-     * no view of the frame plane. Consulted only when both flags are
-     * on; never installed (and never consulted) otherwise.
-     */
-    using FrameActivityProbe = std::function<bool(NodeId src, NodeId dst)>;
-
-    /**
      * Observer of fault-aborted flows: called once per ledger entry
      * abortPort() retires, *after* the ledger sweep completes (so the
      * sink may re-enter the scheduler — e.g. a host re-issuing the read
@@ -197,13 +187,6 @@ class Scheduler
     Scheduler(const EdmConfig &cfg, EventQueue &events, GrantSink sink,
               const net::Topology *topo = nullptr,
               std::uint16_t leaf = 0);
-
-    /** Install the frame-backlog probe (see FrameActivityProbe). */
-    void
-    setFrameActivityProbe(FrameActivityProbe probe)
-    {
-        frame_probe_ = std::move(probe);
-    }
 
     /** Install the fault-abort observer (see AbortSink). */
     void
@@ -347,7 +330,6 @@ class Scheduler
     EdmConfig cfg_;
     EventQueue &events_;
     GrantSink sink_;
-    FrameActivityProbe frame_probe_;
     AbortSink abort_sink_;
     RemoteNoteSink note_sink_;
 
@@ -491,9 +473,15 @@ class Scheduler
     void raiseBusyUntil(std::vector<Picoseconds> &table, std::size_t idx,
                         Picoseconds release);
 
-    /** Charge one tier's occupancy: stats + TierCharge log record. */
-    void chargeTier(LinkTier tier, const Demand &d, Bytes chunk,
-                    bool frame_active, Picoseconds when);
+    /**
+     * Charge one tier's occupancy: stats + TierCharge log record. Every
+     * tier a chunk crosses carries the same grant charge (the chunk is
+     * cut-through). The spine charge is accounting only — the spine is
+     * contention-free (docs/TOPOLOGY.md); trunk-lane busy timers are
+     * what gate grants.
+     */
+    void chargeTier(LinkTier tier, const Demand &d, Picoseconds charge,
+                    Picoseconds when);
 };
 
 } // namespace core

@@ -215,8 +215,7 @@ class SwitchStack
      * quantity the wire-occupancy model's per-chunk growth estimate
      * (core::stagingGrowthBlocksPerChunk) predicts — payload
      * charging under-reserves every chunk and the peak climbs with the
-     * grant count; wire-charged occupancy keeps it near one chunk per
-     * contending flow.
+     * grant count.
      */
     std::size_t peakEgressStaging() const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "core/occupancy.hpp"
 #include "trace/event_log.hpp"
 
 namespace edm {
@@ -19,7 +18,6 @@ EdmFlowModel::EdmFlowModel(Simulation &sim, const ClusterConfig &cluster,
     ecfg_.max_notifications = cfg.max_notifications;
     ecfg_.priority = cfg.priority;
     ecfg_.scheduler_ghz = cfg.scheduler_ghz;
-    ecfg_.wire_charged_occupancy = cfg.wire_charged_occupancy;
     ecfg_.event_log = cfg.event_log;
     sched_ = std::make_unique<core::Scheduler>(
         ecfg_, sim.events(),
@@ -118,21 +116,14 @@ EdmFlowModel::onGrant(const core::GrantAction &action)
         response = g.response;
     }
     // Grant travels one hop to the sender; the chunk then serializes and
-    // crosses two hops through its virtual circuit. Wire-charged mode
-    // serializes the chunk's exact block line-time (matching the
-    // occupancy the shared scheduler reserved for it); payload charging
-    // keeps the raw payload delay bit-exactly.
-    const Picoseconds ser = mcfg_.wire_charged_occupancy
-        ? core::chunkLineTime(response ? core::MemMsgType::RRES
-                                       : core::MemMsgType::WREQ,
-                              chunk, cfg_.link_rate)
-        : txDelay(chunk);
-    const Picoseconds at = sim_.now() + 3 * cfg_.propagation + ser;
-    deliverChunk(key, chunk, at);
+    // crosses two hops through its virtual circuit.
+    const Picoseconds at = sim_.now() + 3 * cfg_.propagation + txDelay(chunk);
+    deliverChunk(key, response, chunk, at);
 }
 
 void
-EdmFlowModel::deliverChunk(const MsgKey &key, Bytes chunk, Picoseconds at)
+EdmFlowModel::deliverChunk(const MsgKey &key, bool response, Bytes chunk,
+                           Picoseconds at)
 {
     auto it = active_.find(key);
     if (it == active_.end()) {
@@ -153,7 +144,12 @@ EdmFlowModel::deliverChunk(const MsgKey &key, Bytes chunk, Picoseconds at)
     }
     a.delivered += chunk;
     EDM_ASSERT(a.delivered <= a.job.size, "over-delivery");
-    if (a.delivered < a.job.size)
+    // Report the chunk to the scheduler as the switch datapath does, so
+    // the message's ledger entry retires with its final chunk.
+    const bool last_chunk = a.delivered >= a.job.size;
+    sched_->onChunkForwarded(std::get<0>(key), std::get<1>(key),
+                             std::get<2>(key), response, chunk, last_chunk);
+    if (!last_chunk)
         return;
 
     const Job job = a.job;

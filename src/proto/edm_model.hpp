@@ -32,16 +32,6 @@ struct EdmModelConfig
     double scheduler_ghz = 3.0;         ///< ASIC synthesis rate (§4.1)
 
     /**
-     * Charge exact 66-bit block line-time per chunk (EdmConfig
-     * equivalent): the shared core::Scheduler's port-occupancy timers
-     * and this model's chunk serialization both switch from the raw
-     * payload `l/B` to the wire-charged occupancy of
-     * core/occupancy.hpp. Changes every schedule — rebaseline golden
-     * values per docs/REBASELINE.md.
-     */
-    bool wire_charged_occupancy = false;
-
-    /**
      * Optional fabric event log (not owned; forwarded into the shared
      * scheduler's EdmConfig). Null disables recording.
      */
@@ -105,7 +95,8 @@ class EdmFlowModel : public FabricModel
     bool nextIdLive(const PairKey &pair);
     void launch(const Job &job);
     void onGrant(const core::GrantAction &action);
-    void deliverChunk(const MsgKey &key, Bytes chunk, Picoseconds at);
+    void deliverChunk(const MsgKey &key, bool response, Bytes chunk,
+                      Picoseconds at);
 };
 
 } // namespace proto

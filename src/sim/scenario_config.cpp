@@ -266,14 +266,6 @@ applyEdmConfigKey(core::EdmConfig &cfg, const std::string &key,
         if (!parseLong(value, n) || n < 1)
             return bad_value();
         cfg.read_retry_base = n * kNanosecond;
-    } else if (key == "wire_charged_occupancy") {
-        if (!parseBool(value, b))
-            return bad_value();
-        cfg.wire_charged_occupancy = b;
-    } else if (key == "charge_preemption_reentry") {
-        if (!parseBool(value, b))
-            return bad_value();
-        cfg.charge_preemption_reentry = b;
     } else if (key == "parked_grant_timeout_ns") {
         if (!parseLong(value, n) || n < 0)
             return bad_value();

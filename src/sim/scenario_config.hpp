@@ -34,8 +34,8 @@
  *   ls.min_share = 0.2
  *   ls.latency_sensitive = true
  *
- *   [mode wire]              # EdmConfig overlay, one table row per mode
- *   wire_charged_occupancy = true
+ *   [mode small_chunks]      # EdmConfig overlay, one table row per mode
+ *   chunk_bytes = 128
  *
  * Unknown keys are hard errors: a typo must fail loudly, never
  * silently fall back to a default schedule.

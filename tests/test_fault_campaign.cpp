@@ -225,27 +225,24 @@ TEST(FaultCampaign, TrainEnginesMatchPerBlockMidStorm)
 {
     // Fault abort and train trim must compose: a storm that disables
     // links mid-train leaves per-block (cap 1) and train (cap 64)
-    // engines bit-exact, in both occupancy charges.
-    for (const bool wire : {false, true}) {
-        EdmConfig per_block = stormConfig();
-        per_block.wire_charged_occupancy = wire;
-        per_block.max_train_blocks = 1;
-        per_block.max_frame_train_blocks = 1;
-        EdmConfig trains = per_block;
-        trains.max_train_blocks = 64;
-        trains.max_frame_train_blocks = 64;
+    // engines bit-exact.
+    EdmConfig per_block = stormConfig();
+    per_block.max_train_blocks = 1;
+    per_block.max_frame_train_blocks = 1;
+    EdmConfig trains = per_block;
+    trains.max_train_blocks = 64;
+    trains.max_frame_train_blocks = 64;
 
-        const StormResult a = runStorm(per_block);
-        const StormResult b = runStorm(trains);
-        EXPECT_EQ(a.end_time, b.end_time) << "wire=" << wire;
-        EXPECT_EQ(a.completed, b.completed);
-        EXPECT_EQ(a.null_reads, 0);
-        EXPECT_EQ(b.null_reads, 0);
-        EXPECT_EQ(a.read_lat, b.read_lat);
-        EXPECT_EQ(a.stats.ops_retried, b.stats.ops_retried);
-        EXPECT_EQ(a.stats.ops_abandoned, 0u);
-        EXPECT_EQ(b.stats.ops_abandoned, 0u);
-    }
+    const StormResult a = runStorm(per_block);
+    const StormResult b = runStorm(trains);
+    EXPECT_EQ(a.end_time, b.end_time);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.null_reads, 0);
+    EXPECT_EQ(b.null_reads, 0);
+    EXPECT_EQ(a.read_lat, b.read_lat);
+    EXPECT_EQ(a.stats.ops_retried, b.stats.ops_retried);
+    EXPECT_EQ(a.stats.ops_abandoned, 0u);
+    EXPECT_EQ(b.stats.ops_abandoned, 0u);
 }
 
 TEST(FaultCampaign, ReplicatedFailoverDuringIncastStrict)

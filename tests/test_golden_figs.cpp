@@ -10,14 +10,6 @@
  * tie broken differently, a lost or duplicated event — shifts these
  * values, so the test proves the rewrite is observably invisible.
  *
- * Two charging modes are pinned: the legacy arrays above must stay
- * bit-identical forever (EdmConfig::wire_charged_occupancy off is the
- * bit-exact historical schedule), and the *WireCharged arrays pin the
- * EDM schedules produced with wire-charged port occupancy on
- * (core/occupancy.hpp) — a deliberate, documented schedule change whose
- * baselines were generated by the rebaseline pipeline
- * (tools/rebaseline.sh, docs/REBASELINE.md).
- *
  * The simulations here are deliberately smaller than the real figure
  * benches (fewer messages) but exercise every fabric model and the full
  * multi-threaded sweep machinery; values must be bit-identical for any
@@ -130,32 +122,6 @@ fig8bValues()
     return out;
 }
 
-/**
- * Wire-charged fig 8a slice: the EDM rows of fig8aValues() with
- * EdmConfig::wire_charged_occupancy on. Only EDM consumes the knob, so
- * the other six fabrics need no second baseline.
- */
-std::vector<double>
-fig8aWireValues()
-{
-    std::vector<PointSpec> points;
-    for (double load : {0.2, 0.8}) {
-        PointSpec p;
-        p.fabric = Fabric::Edm;
-        p.load = load;
-        p.write_fraction = 1.0;
-        p.messages = 4000;
-        p.edm_wire_charged = true;
-        points.push_back(p);
-    }
-    std::vector<double> out;
-    for (const RunResult &r : runPointsParallel(points)) {
-        out.push_back(r.norm_mean);
-        out.push_back(r.norm_p99);
-    }
-    return out;
-}
-
 /** Fig 6: the full analytic YCSB-throughput grid (closed form). */
 std::vector<double>
 fig6Values()
@@ -227,89 +193,9 @@ clusterSweepValues()
 }
 
 /**
- * The 16 EDM points of the cluster sweep with wire-charged occupancy:
- * the flow model and the shared scheduler both charge exact 66-bit
- * block line-time per chunk. Same seed derivation as the legacy sweep
- * (base_seed 11, one scenario per load point).
- */
-std::vector<double>
-clusterSweepWireValues()
-{
-    constexpr int kLoadPoints = 16;
-    std::vector<double> loads;
-    for (int i = 0; i < kLoadPoints; ++i)
-        loads.push_back(0.05 + i * 0.90 / (kLoadPoints - 1));
-
-    ScenarioRunner::Options opts;
-    opts.base_seed = 11;
-    ScenarioRunner runner(opts);
-    for (double load : loads)
-        runner.add("pt", [load](ScenarioContext &ctx) {
-            Simulation &sim = ctx.sim();
-            proto::ClusterConfig cluster;
-            cluster.num_nodes = 144;
-            proto::EdmModelConfig mcfg;
-            mcfg.wire_charged_occupancy = true;
-            proto::EdmFlowModel model(sim, cluster, mcfg);
-            workload::SyntheticConfig cfg;
-            cfg.num_nodes = cluster.num_nodes;
-            cfg.load = load;
-            cfg.write_fraction = 1.0;
-            cfg.messages = 4000;
-            for (const auto &j : workload::generateSynthetic(
-                     ctx.rng(), cfg, workload::wire::edm))
-                model.offer(j);
-            sim.run();
-            ctx.record("norm_mean", model.normalized().mean());
-        });
-
-    std::vector<double> out;
-    for (const ScenarioResult &r : runner.runAll())
-        out.push_back(r.metricStat("norm_mean").mean());
-    return out;
-}
-
-/**
- * Grant-chunk sweep under wire-charged occupancy: every mode of the
- * shipped scenarios/chunk_sweep_wire.edm (chunk_bytes 128..1024) run
- * on its full 9-to-1 incast point, pinning completed / grants /
- * read_p99 per chunk size. Loads the real scenario file, so the golden
- * also notices edits to the .edm itself.
- */
-std::vector<double>
-chunkSweepWireValues()
-{
-    ScenarioSpec spec;
-    std::string error;
-    if (!loadScenarioSpec(EDM_SOURCE_DIR "/scenarios/chunk_sweep_wire.edm",
-                          spec, error)) {
-        ADD_FAILURE() << "chunk_sweep_wire.edm: " << error;
-        return {};
-    }
-    ScenarioRunner::Options opts;
-    opts.base_seed = spec.base_seed;
-    ScenarioRunner runner(opts);
-    for (const ScenarioModeSpec &mode : spec.modes)
-        for (std::size_t nodes : spec.n_to_1)
-            runner.add(mode.name, [&spec, &mode, nodes](
-                                      ScenarioContext &ctx) {
-                runIncastPoint(ctx, IncastPoint{"N-to-1", nodes},
-                               spec.workload, spec.rounds,
-                               spec.configFor(mode));
-            });
-    std::vector<double> out;
-    for (const ScenarioResult &r : runner.runAll()) {
-        out.push_back(r.metricStat("completed").mean());
-        out.push_back(r.metricStat("grants").mean());
-        out.push_back(r.metricStat("read_p99").mean());
-    }
-    return out;
-}
-
-/**
  * Cluster-scale leaf-spine tier: every mode of the shipped
  * scenarios/leaf_spine.edm (65 hosts over five leaves, strict sharded
- * scheduler, base/wire) on its full 64-to-1 incast point, pinning
+ * scheduler) on its full 64-to-1 incast point, pinning
  * completed / grants / wasted / parked / peak staging / read_p99 per
  * row. Loads the real scenario file, so the golden also notices edits
  * to the .edm itself.
@@ -436,26 +322,6 @@ TEST(GoldenFigs, ClusterLoadSweep)
                  std::size(kGoldenClusterSweep), clusterSweepValues());
 }
 
-TEST(GoldenFigs, Fig8aWireCharged)
-{
-    checkOrRegen("kGoldenFig8aWire", kGoldenFig8aWire,
-                 std::size(kGoldenFig8aWire), fig8aWireValues());
-}
-
-TEST(GoldenFigs, ClusterSweepWireCharged)
-{
-    checkOrRegen("kGoldenClusterSweepWire", kGoldenClusterSweepWire,
-                 std::size(kGoldenClusterSweepWire),
-                 clusterSweepWireValues());
-}
-
-TEST(GoldenFigs, ChunkSweepWireCharged)
-{
-    checkOrRegen("kGoldenChunkSweepWire", kGoldenChunkSweepWire,
-                 std::size(kGoldenChunkSweepWire),
-                 chunkSweepWireValues());
-}
-
 TEST(GoldenFigs, LeafSpineCluster)
 {
     checkOrRegen("kGoldenLeafSpine", kGoldenLeafSpine,
@@ -480,27 +346,6 @@ TEST(GoldenFigs, FairShareIsolatesLatencySensitivePool)
     ASSERT_EQ(v.size(), 12u);
     EXPECT_EQ(v[0], v[6]);            // completed: no work lost
     EXPECT_LT(v[6 + 5], v[5] / 2.0);  // ls pool p99 at least halved
-}
-
-TEST(GoldenFigs, WireChargedDiffersFromLegacy)
-{
-    // The wire-charged baselines are a real schedule change, not a
-    // copy: at least one pinned point must differ from its legacy
-    // counterpart (if they ever collapse to equal, the knob is dead and
-    // the second baseline is meaningless).
-    if (regenMode())
-        GTEST_SKIP() << "regen mode";
-    bool differs = false;
-    // Legacy fig8a stores all seven fabrics; EDM is the first row per
-    // load block (indices 0,1 and 14,15 of the 28-value array).
-    const double legacy_edm[] = {kGoldenFig8a[0], kGoldenFig8a[1],
-                                 kGoldenFig8a[14], kGoldenFig8a[15]};
-    for (std::size_t i = 0; i < std::size(kGoldenFig8aWire); ++i)
-        differs = differs || kGoldenFig8aWire[i] != legacy_edm[i];
-    for (std::size_t i = 0; i < std::size(kGoldenClusterSweepWire); ++i)
-        differs = differs || kGoldenClusterSweepWire[i] !=
-            kGoldenClusterSweep[i];
-    EXPECT_TRUE(differs);
 }
 
 TEST(GoldenFigs, ThreadCountInvariance)

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the wire-occupancy model (src/core/occupancy.hpp):
  * block counts and line-times pinned against hand-computed wire math
- * for boundary payload sizes, in both charging modes.
+ * for boundary payload sizes, and the payload port charge.
  *
  * The hand arithmetic (also worked in docs/WIRE_FORMAT.md): a 66-bit
  * block slot at 25G is 64 payload bits / 25 Gb/s = 2.56 ns. A WREQ
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analytic/latency_model.hpp"
 #include "core/occupancy.hpp"
 
 namespace edm {
@@ -76,55 +75,33 @@ TEST(Occupancy, ChunkLineTimesAtBoundaryPayloads)
     EXPECT_EQ(chunkLineTime(MemMsgType::RRES, 256, k100), 34 * 640);
 }
 
-TEST(Occupancy, GrantOccupancyLegacyModeIsRawPayloadDelay)
+TEST(Occupancy, GrantOccupancyIsRawPayloadDelay)
 {
-    EdmConfig cfg; // wire_charged_occupancy off by default
-    ASSERT_FALSE(cfg.wire_charged_occupancy);
-    for (const Bytes chunk : {1ull, 255ull, 256ull, 257ull, 700ull}) {
-        EXPECT_EQ(grantOccupancy(cfg, /*response=*/false, chunk),
+    const EdmConfig cfg;
+    for (const Bytes chunk : {1ull, 255ull, 256ull, 257ull, 700ull})
+        EXPECT_EQ(grantOccupancy(cfg, chunk),
                   transmissionDelay(chunk, cfg.link_rate));
-        EXPECT_EQ(grantOccupancy(cfg, /*response=*/true, chunk),
-                  transmissionDelay(chunk, cfg.link_rate));
-    }
+    // The default 256 B chunk at 25G: 81.92 ns (docs/WIRE_FORMAT.md).
+    EXPECT_EQ(grantOccupancy(cfg, 256), 81920);
 }
 
-TEST(Occupancy, GrantOccupancyWireModeChargesExactBlocks)
-{
-    EdmConfig cfg;
-    cfg.wire_charged_occupancy = true;
-    // Write chunks pay the address block; response chunks do not.
-    EXPECT_EQ(grantOccupancy(cfg, false, 256), 35 * 2560);
-    EXPECT_EQ(grantOccupancy(cfg, true, 256), 34 * 2560);
-    EXPECT_EQ(grantOccupancy(cfg, false, 1), 4 * 2560);
-    EXPECT_EQ(grantOccupancy(cfg, true, 1), 3 * 2560);
-    EXPECT_EQ(grantOccupancy(cfg, false, 257), 36 * 2560);
-}
-
-TEST(Occupancy, RequestForwardOccupancyBothModes)
+TEST(Occupancy, RequestForwardOccupancyRoundsWireBytes)
 {
     MemMessage rreq;
     rreq.type = MemMsgType::RREQ;
 
-    EdmConfig cfg;
-    // Legacy reproduces the historical byte rounding bit-exactly:
-    // wireBytes(RREQ) = 3 * 8.25 = 24.75, + 1.0 truncated to 25 B.
+    const EdmConfig cfg;
+    // The historical byte rounding: wireBytes(RREQ) = 3 * 8.25 = 24.75,
+    // + 1.0 truncated to 25 B.
     EXPECT_EQ(requestForwardOccupancy(cfg, rreq),
               transmissionDelay(25, cfg.link_rate));
     EXPECT_EQ(requestForwardOccupancy(cfg, rreq), 8000);
-
-    // Wire-charged: exactly the 3 block slots the forward occupies.
-    cfg.wire_charged_occupancy = true;
-    EXPECT_EQ(requestForwardOccupancy(cfg, rreq), 3 * 2560);
-
-    MemMessage rmw;
-    rmw.type = MemMsgType::RMWREQ;
-    EXPECT_EQ(requestForwardOccupancy(cfg, rmw), 5 * 2560);
 }
 
 TEST(Occupancy, StagingGrowthEstimate)
 {
-    EdmConfig cfg;
-    // Legacy under-charge per 256 B write chunk: 89.6 - 81.92 ns
+    const EdmConfig cfg;
+    // Payload under-charge per 256 B write chunk: 89.6 - 81.92 ns
     // = 3 block slots left behind in egress staging per chunk.
     EXPECT_DOUBLE_EQ(stagingGrowthBlocksPerChunk(cfg, false, 256), 3.0);
     // RRES chunks leave 2 effective... (87.04 - 81.92) / 2.56 = 2.
@@ -132,11 +109,6 @@ TEST(Occupancy, StagingGrowthEstimate)
     // Frame coexistence adds the preemption re-entry slot.
     EXPECT_DOUBLE_EQ(
         stagingGrowthBlocksPerChunk(cfg, false, 256, true), 4.0);
-
-    // Wire-charged occupancy eliminates the growth by construction.
-    cfg.wire_charged_occupancy = true;
-    EXPECT_DOUBLE_EQ(stagingGrowthBlocksPerChunk(cfg, false, 256), 0.0);
-    EXPECT_DOUBLE_EQ(stagingGrowthBlocksPerChunk(cfg, true, 700), 0.0);
 }
 
 TEST(Occupancy, WireByteBudgetsMatchBlockCounts)
@@ -148,16 +120,6 @@ TEST(Occupancy, WireByteBudgetsMatchBlockCounts)
     EXPECT_DOUBLE_EQ(wireOccupancyBytes(MemMsgType::WREQ, 256),
                      35 * 66.0 / 8.0);
     EXPECT_DOUBLE_EQ(kBlockWireBytes, 8.25);
-}
-
-TEST(Occupancy, AnalyticChunkOccupancyDelegates)
-{
-    EdmConfig cfg;
-    EXPECT_EQ(analytic::chunkOccupancy(cfg, /*read=*/true, 256),
-              transmissionDelay(256, cfg.link_rate));
-    cfg.wire_charged_occupancy = true;
-    EXPECT_EQ(analytic::chunkOccupancy(cfg, true, 256), 34 * 2560);
-    EXPECT_EQ(analytic::chunkOccupancy(cfg, false, 256), 35 * 2560);
 }
 
 } // namespace

@@ -356,6 +356,25 @@ TEST(EdmFlow, IdLiveUntilCompletionMatchesHostStack)
     EXPECT_EQ(model.staleGrants(), 0u);
 }
 
+TEST(EdmFlow, LedgerRetiresEveryDeliveredMessage)
+{
+    // The flow model reports each delivered chunk to its scheduler, as
+    // the switch datapath does in the cycle fabric, so every message's
+    // ledger entry retires with its final chunk instead of living on
+    // until its 8-bit id is reused.
+    Simulation sim;
+    EdmFlowModel model(sim, smallCluster(2));
+    for (int i = 0; i < 40; ++i)
+        model.offer(makeJob(static_cast<std::uint64_t>(i), 0, 1, 600,
+                            i * 5 * kMicrosecond,
+                            /*is_write=*/i % 2 == 0));
+    sim.run();
+    EXPECT_EQ(model.completed(), 40u);
+    EXPECT_EQ(model.scheduler().pendingLedgerEntries(), 0u);
+    EXPECT_EQ(model.scheduler().ledgerStats().retired_by_completion, 40u);
+    EXPECT_EQ(model.staleGrants(), 0u);
+}
+
 TEST(Ird, ConflictsAppearUnderLoad)
 {
     Simulation sim;

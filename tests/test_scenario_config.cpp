@@ -60,12 +60,12 @@ TEST(ScenarioParser, ModeSectionsSelectableByPrefix)
 {
     const ScenarioDoc doc = parseOk("[scenario]\nname = x\n"
                                     "[mode strict]\n"
-                                    "[mode wire]\n"
-                                    "wire_charged_occupancy = true\n");
+                                    "[mode small_chunks]\n"
+                                    "chunk_bytes = 128\n");
     const auto modes = doc.sectionsWithPrefix("mode ");
     ASSERT_EQ(modes.size(), 2u);
     EXPECT_EQ(modes[0]->name, "mode strict");
-    EXPECT_EQ(modes[1]->name, "mode wire");
+    EXPECT_EQ(modes[1]->name, "mode small_chunks");
     EXPECT_EQ(modes[1]->entries.size(), 1u);
 }
 
@@ -95,10 +95,7 @@ TEST(ScenarioConfig, AppliesKnownKeys)
     EXPECT_TRUE(applyEdmConfigKey(cfg, "link_gbps", "25", error));
     EXPECT_TRUE(applyEdmConfigKey(cfg, "priority", "srpt", error));
     EXPECT_TRUE(applyEdmConfigKey(cfg, "read_timeout_ns", "4000", error));
-    EXPECT_TRUE(
-        applyEdmConfigKey(cfg, "wire_charged_occupancy", "true", error));
-    EXPECT_TRUE(applyEdmConfigKey(cfg, "charge_preemption_reentry",
-                                  "true", error));
+    EXPECT_TRUE(applyEdmConfigKey(cfg, "chunk_bytes", "128", error));
     EXPECT_TRUE(
         applyEdmConfigKey(cfg, "parked_grant_timeout_ns", "250", error));
     EXPECT_TRUE(applyEdmConfigKey(cfg, "max_train_blocks", "4", error));
@@ -106,8 +103,7 @@ TEST(ScenarioConfig, AppliesKnownKeys)
     EXPECT_DOUBLE_EQ(cfg.link_rate.value, 25.0);
     EXPECT_EQ(cfg.priority, core::Priority::Srpt);
     EXPECT_EQ(cfg.read_timeout, 4000 * kNanosecond);
-    EXPECT_TRUE(cfg.wire_charged_occupancy);
-    EXPECT_TRUE(cfg.charge_preemption_reentry);
+    EXPECT_EQ(cfg.chunk_bytes, 128u);
     EXPECT_EQ(cfg.parked_grant_timeout, 250 * kNanosecond);
     EXPECT_EQ(cfg.max_train_blocks, 4u);
 }
@@ -126,13 +122,16 @@ TEST(ScenarioConfig, UnknownKeysAndBadValuesAreHardErrors)
 
 TEST(ScenarioConfig, RemovedKeysAreUnknown)
 {
-    // The partitioned parallel engine's two keys and the legacy/strict
-    // grant-accounting switch are gone; old scenario files naming them
-    // must fail loudly, not run while pretending to honor them.
+    // The partitioned parallel engine's two keys, the legacy/strict
+    // grant-accounting switch and the wire-charged port-occupancy pair
+    // are gone; old scenario files naming them must fail loudly, not
+    // run while pretending to honor them.
     core::EdmConfig cfg;
     const std::string keys[] = {std::string("fabric_") + "workers",
                                 std::string("fabric_") + "partition_map",
-                                "strict_grant_accounting"};
+                                "strict_grant_accounting",
+                                "wire_charged_occupancy",
+                                "charge_preemption_reentry"};
     for (const std::string &key : keys) {
         std::string error;
         EXPECT_FALSE(applyEdmConfigKey(cfg, key, "true", error)) << key;
@@ -200,12 +199,10 @@ TEST(ScenarioSpecTest, LoadsShippedIncastScenario)
     ASSERT_EQ(spec.quick_n_to_1.size(), 1u);
     EXPECT_EQ(spec.quick_n_to_1[0], 9u);
 
-    // The two modes mirror examples/incast_stress.cpp exactly.
-    ASSERT_EQ(spec.modes.size(), 2u);
+    // The one mode mirrors examples/incast_stress.cpp exactly.
+    ASSERT_EQ(spec.modes.size(), 1u);
     EXPECT_EQ(spec.modes[0].name, "strict");
-    EXPECT_EQ(spec.modes[1].name, "wire");
-    EXPECT_FALSE(spec.configFor(spec.modes[0]).wire_charged_occupancy);
-    EXPECT_TRUE(spec.configFor(spec.modes[1]).wire_charged_occupancy);
+    EXPECT_TRUE(spec.modes[0].overrides.empty());
 }
 
 TEST(ScenarioSpecTest, LoadsShippedInterferenceScenario)
@@ -247,30 +244,19 @@ TEST(ScenarioSpecTest, ParsedSpecReproducesHandBuiltConfigExactly)
     ASSERT_TRUE(loadScenarioSpec(EDM_SOURCE_DIR "/scenarios/incast.edm",
                                  spec, error))
         << error;
-    ASSERT_EQ(spec.modes.size(), 2u);
+    ASSERT_EQ(spec.modes.size(), 1u);
 
-    // Hand-built configs exactly as examples/incast_stress.cpp sets them.
+    // The hand-built config exactly as examples/incast_stress.cpp sets it.
     const core::EdmConfig strict_cfg;
-    core::EdmConfig wire_cfg;
-    wire_cfg.wire_charged_occupancy = true;
-
-    const struct
-    {
-        const core::EdmConfig *hand;
-        const ScenarioModeSpec *mode;
-    } pairs[] = {{&strict_cfg, &spec.modes[0]}, {&wire_cfg, &spec.modes[1]}};
-    for (const auto &pair : pairs) {
-        const ScenarioResult hand =
-            runOnePoint(*pair.hand, spec.base_seed);
-        const ScenarioResult parsed =
-            runOnePoint(spec.configFor(*pair.mode), spec.base_seed);
-        ASSERT_EQ(hand.metrics.size(), parsed.metrics.size());
-        for (const auto &kv : hand.metrics) {
-            const auto it = parsed.metrics.find(kv.first);
-            ASSERT_NE(it, parsed.metrics.end()) << kv.first;
-            EXPECT_EQ(kv.second.raw(), it->second.raw())
-                << pair.mode->name << " metric " << kv.first;
-        }
+    const ScenarioResult hand = runOnePoint(strict_cfg, spec.base_seed);
+    const ScenarioResult parsed =
+        runOnePoint(spec.configFor(spec.modes[0]), spec.base_seed);
+    ASSERT_EQ(hand.metrics.size(), parsed.metrics.size());
+    for (const auto &kv : hand.metrics) {
+        const auto it = parsed.metrics.find(kv.first);
+        ASSERT_NE(it, parsed.metrics.end()) << kv.first;
+        EXPECT_EQ(kv.second.raw(), it->second.raw())
+            << "metric " << kv.first;
     }
 }
 
@@ -321,7 +307,7 @@ TEST(ScenarioSpecTest, LoadsShippedFailureStormScenario)
     EXPECT_EQ(spec.faults.repair_after, 6000 * kNanosecond);
 
     // Retry/backoff knobs ride in [config] and land on every mode.
-    ASSERT_EQ(spec.modes.size(), 2u);
+    ASSERT_EQ(spec.modes.size(), 1u);
     const core::EdmConfig cfg = spec.configFor(spec.modes[0]);
     EXPECT_EQ(cfg.read_retry_limit, 5);
     EXPECT_EQ(cfg.link_error_threshold, 8u);

@@ -43,7 +43,6 @@ struct IncastResult
     std::uint64_t grants = 0;
     CycleFabric::GrantAccounting acc;
     std::size_t ledger_left = 0;
-    std::size_t peak_staging = 0;
     std::vector<double> read_lat;
     std::vector<double> write_lat;
 };
@@ -60,14 +59,12 @@ enum class Mix
  * of back-to-back 900 B reads / 700 B writes against node 0.
  */
 IncastResult
-runIncast(Mix mix, int rounds, std::size_t train_cap,
-          bool wire_charged = false)
+runIncast(Mix mix, int rounds, std::size_t train_cap)
 {
     EdmConfig cfg;
     cfg.num_nodes = kIncastNodes;
     cfg.max_train_blocks = train_cap;
     cfg.max_frame_train_blocks = train_cap;
-    cfg.wire_charged_occupancy = wire_charged;
     Simulation sim(42);
     CycleFabric fab(cfg, sim);
 
@@ -104,7 +101,6 @@ runIncast(Mix mix, int rounds, std::size_t train_cap,
     r.grants = fab.switchStack().scheduler().grantsIssued();
     r.acc = fab.grantAccounting();
     r.ledger_left = fab.switchStack().scheduler().pendingLedgerEntries();
-    r.peak_staging = fab.peakEgressStaging();
     r.read_lat = fab.readLatency().raw();
     r.write_lat = fab.writeLatency().raw();
     return r;
@@ -394,37 +390,6 @@ TEST(SchedulerLedger, FullQueueInsertLeavesPredecessorTracked)
     ASSERT_TRUE(bytes.has_value());
     EXPECT_EQ(bytes->demanded, 600u); // untouched by the failed insert
     EXPECT_EQ(sched.pendingDemands(), 2u);
-}
-
-TEST(SchedulerLedger, WireChargedOccupancyShrinksIncastStaging)
-{
-    // Acceptance criterion for EdmConfig::wire_charged_occupancy: with
-    // port timers charging the chunk's exact 66-bit block line-time
-    // (instead of the ~9%-short raw payload charge), grants pace at the
-    // true wire drain rate, so in the mixed-incast regime grants outrun
-    // their forwarded request less often (fewer parked) and egress
-    // staging peaks shallower than under payload charging.
-    const IncastResult payload = runIncast(Mix::Mixed, 20, 64);
-    const IncastResult wire =
-        runIncast(Mix::Mixed, 20, 64, /*wire_charged=*/true);
-    ASSERT_GT(payload.acc.grants_parked, 0u); // the regime is real
-    EXPECT_EQ(wire.completed, wire.offered);
-    EXPECT_EQ(wire.acc.unknown_grants, 0u);
-    EXPECT_EQ(wire.acc.wasted_grant_slots, 0u);
-    EXPECT_LT(wire.acc.grants_parked, payload.acc.grants_parked);
-    EXPECT_LT(wire.peak_staging, payload.peak_staging);
-    EXPECT_EQ(wire.ledger_left, 0u);
-
-    // The wire-charged schedule is engine-invariant too: per-block and
-    // train emission must agree bit-exactly, as they do under payload
-    // charging.
-    const IncastResult per_block =
-        runIncast(Mix::Mixed, 20, 1, /*wire_charged=*/true);
-    EXPECT_EQ(wire.end_time, per_block.end_time);
-    EXPECT_EQ(wire.grants, per_block.grants);
-    EXPECT_EQ(wire.completed, per_block.completed);
-    EXPECT_EQ(wire.read_lat, per_block.read_lat);
-    EXPECT_EQ(wire.write_lat, per_block.write_lat);
 }
 
 TEST(SchedulerLedger, IdWrapStallsInsteadOfPanicking)

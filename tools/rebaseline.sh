@@ -15,15 +15,13 @@
 #      root (EDM_BENCH_SCALE=0.2, the scale every prior snapshot used).
 #
 # Usage:
-#   tools/rebaseline.sh [--build-dir <dir>] [--modes legacy,wire]
+#   tools/rebaseline.sh [--build-dir <dir>] [--modes legacy,leafspine]
 #                       [--skip-bench]
 #
 #   --build-dir   CMake build tree holding the binaries (default: build)
 #   --modes       which baseline mode set to refresh (default: all).
 #                   legacy     kGoldenFig6 kGoldenFig8a kGoldenFig8b
-#                              kGoldenClusterSweep (payload charging)
-#                   wire       kGoldenFig8aWire kGoldenClusterSweepWire
-#                              kGoldenChunkSweepWire
+#                              kGoldenClusterSweep
 #                   leafspine  kGoldenLeafSpine
 #                   fairshare  kGoldenFairShare
 #   --skip-bench  leave the BENCH_*.json snapshots alone
@@ -33,7 +31,7 @@
 set -euo pipefail
 
 BUILD_DIR=build
-MODES=legacy,wire,leafspine,fairshare
+MODES=legacy,leafspine,fairshare
 SKIP_BENCH=0
 while [[ $# -gt 0 ]]; do
     case "$1" in
@@ -42,7 +40,7 @@ while [[ $# -gt 0 ]]; do
       --skip-bench) SKIP_BENCH=1; shift ;;
       *)
         echo "usage: $0 [--build-dir <dir>]" \
-             "[--modes legacy,wire,leafspine,fairshare] [--skip-bench]" >&2
+             "[--modes legacy,leafspine,fairshare] [--skip-bench]" >&2
         exit 2 ;;
     esac
 done
@@ -53,12 +51,10 @@ INC=tests/golden_figs_values.inc
 
 # Arrays belonging to each mode set.
 LEGACY_ARRAYS="kGoldenFig6 kGoldenFig8a kGoldenFig8b kGoldenClusterSweep"
-WIRE_ARRAYS="kGoldenFig8aWire kGoldenClusterSweepWire kGoldenChunkSweepWire"
 LEAFSPINE_ARRAYS="kGoldenLeafSpine"
 FAIRSHARE_ARRAYS="kGoldenFairShare"
 SELECTED=""
 case ",$MODES," in *,legacy,*) SELECTED="$SELECTED $LEGACY_ARRAYS" ;; esac
-case ",$MODES," in *,wire,*) SELECTED="$SELECTED $WIRE_ARRAYS" ;; esac
 case ",$MODES," in
   *,leafspine,*) SELECTED="$SELECTED $LEAFSPINE_ARRAYS" ;;
 esac
@@ -97,9 +93,7 @@ emit_array() { # $1 = file, $2 = array name
     cat <<'EOF'
 // Golden per-point values. Legacy arrays: captured from the PR 1
 // baseline (per-block fabric emission, pure 4-ary-heap event queue)
-// and bit-frozen since. *Wire arrays: EDM schedules under
-// EdmConfig::wire_charged_occupancy (exact 66-bit block line-time
-// port charges, core/occupancy.hpp). kGoldenLeafSpine: the
+// and bit-frozen since. kGoldenLeafSpine: the
 // cluster-scale leaf-spine incast rows of scenarios/leaf_spine.edm
 // (multi-tier topology, sharded scheduler, net/topology.hpp).
 // kGoldenFairShare: both rows of scenarios/tenant_isolation.edm
@@ -109,8 +103,7 @@ emit_array() { # $1 = file, $2 = array name
 // need.
 
 EOF
-    for name in $LEGACY_ARRAYS $WIRE_ARRAYS $LEAFSPINE_ARRAYS \
-                $FAIRSHARE_ARRAYS; do
+    for name in $LEGACY_ARRAYS $LEAFSPINE_ARRAYS $FAIRSHARE_ARRAYS; do
         case " $SELECTED " in
           *" $name "*) src="$TMP/new_arrays.inc" ;;
           *) src="$TMP/old.inc" ;;
