@@ -2,14 +2,15 @@
  * @file
  * Fixed-slab object pool for hot-path node storage.
  *
- * The simulator's transmission path churns small queue nodes (mux
- * entries, staged blocks, backlog links) at line rate. Allocating them
- * individually puts an allocator round trip on every 66-bit block; this
- * pool instead carves nodes out of fixed-size slabs and recycles them
- * through an in-place free list, so steady-state acquire/release never
- * touches the heap. Slabs are only ever added (a high-water-mark
- * design, like hardware buffer memory): the pool's footprint is the
- * peak working set, and nothing is freed until the pool dies.
+ * The switch's circuit staging (SwitchStack::Port::staged_pool, its
+ * one remaining user) churns small queue nodes at line rate. Allocating
+ * them individually puts an allocator round trip on every staged 66-bit
+ * block; this pool instead carves nodes out of fixed-size slabs and
+ * recycles them through an in-place free list, so steady-state
+ * acquire/release never touches the heap. Slabs are only ever added
+ * (a high-water-mark design, like hardware buffer memory): the pool's
+ * footprint is the peak working set, and nothing is freed until the
+ * pool dies.
  *
  * T must be trivially destructible — nodes may still be live (queued)
  * when the owning structure is torn down, and the pool reclaims their

@@ -2,11 +2,14 @@
  * @file
  * Typed intrusive doubly-linked list.
  *
- * The transmission hot path keeps blocks in queues that need O(1)
- * push/pop at both ends *and* ordered mid-list insertion (availability-
- * sorted mux entries, stamp-sorted staging), with nodes owned by an
- * ObjectPool. An intrusive list gives all of that with zero per-element
- * allocation: the links live inside the node itself.
+ * Its one remaining user is the switch's circuit staging
+ * (SwitchStack::Port::staged): N + 1 per-ingress queues per egress
+ * port whose nodes share one per-port ObjectPool, with O(1) push/pop
+ * at both ends and stamp-ordered mid-list insertion. An intrusive list
+ * gives that with zero per-element allocation — the links live inside
+ * the node itself — and lets the sparse queues share storage instead
+ * of each holding its own buffer. The PHY mux queues and frame backlogs,
+ * which are dense, use common::Ring instead.
  *
  * Usage: give the node type `T *prev` / `T *next` members (their values
  * are list-owned while the node is linked) and never link one node into

@@ -1,75 +1,26 @@
 /**
  * @file
- * Pooled FIFO of 66-bit blocks.
+ * FIFO of 66-bit blocks for frame backlogs.
  *
- * Frame backlogs (fabric uplinks, switch egress ports) used to be
- * std::deque<PhyBlock>, paying allocator chunk churn under frame bursts.
- * This FIFO threads pooled nodes through an intrusive list instead:
- * steady-state push/pop is allocation-free, and capacity follows the
- * high-water mark like hardware buffer RAM.
+ * Frame backlogs (fabric uplinks, switch egress ports) queue whole L2
+ * frames behind the PHY mux's 4-block staging buffer and drain one
+ * block at a time into it. They are contiguous rings: push and pop are
+ * index arithmetic, and capacity follows the high-water mark like
+ * hardware buffer RAM, so steady-state traffic is allocation-free. A
+ * port that never carries a frame allocates nothing.
  */
 
 #ifndef EDM_PHY_BLOCK_FIFO_HPP
 #define EDM_PHY_BLOCK_FIFO_HPP
 
-#include <cstddef>
-
-#include "common/object_pool.hpp"
-#include "hw/intrusive_list.hpp"
+#include "common/ring.hpp"
 #include "phy/block.hpp"
 
 namespace edm {
 namespace phy {
 
 /** Allocation-free (steady-state) FIFO of PhyBlocks. */
-class BlockFifo
-{
-  public:
-    BlockFifo() = default;
-
-    bool empty() const { return list_.empty(); }
-    std::size_t size() const { return list_.size(); }
-
-    const PhyBlock &front() const { return list_.front()->block; }
-
-    void push_back(const PhyBlock &b) { list_.push_back(node(b)); }
-
-    /** Re-queue a block at the head (train abort / trim give-back). */
-    void push_front(const PhyBlock &b) { list_.push_front(node(b)); }
-
-    void
-    pop_front()
-    {
-        pool_.release(list_.pop_front());
-    }
-
-    /** Append a contiguous run of blocks in order. */
-    void
-    append(const PhyBlock *blocks, std::size_t count)
-    {
-        for (std::size_t i = 0; i < count; ++i)
-            push_back(blocks[i]);
-    }
-
-  private:
-    struct Node
-    {
-        Node *prev = nullptr;
-        Node *next = nullptr;
-        PhyBlock block;
-    };
-
-    Node *
-    node(const PhyBlock &b)
-    {
-        Node *n = pool_.acquire();
-        n->block = b;
-        return n;
-    }
-
-    common::ObjectPool<Node> pool_;
-    hw::IntrusiveList<Node> list_;
-};
+using BlockFifo = common::Ring<PhyBlock>;
 
 } // namespace phy
 } // namespace edm

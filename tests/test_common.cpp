@@ -1,15 +1,20 @@
 /**
  * @file
- * Unit tests for src/common: time, units, stats, RNG, CDF.
+ * Unit tests for src/common: time, units, stats, RNG, CDF, object pool,
+ * ring.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
+#include <utility>
+#include <vector>
 
 #include "common/cdf.hpp"
 #include "common/object_pool.hpp"
 #include "common/random.hpp"
+#include "common/ring.hpp"
 #include "common/stats.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
@@ -377,6 +382,156 @@ TEST(ObjectPool, GrowsByWholeSlabs)
             pool.release(n);
     }
     EXPECT_EQ(pool.capacity(), 12u);
+}
+
+/** The ring's contents, head first. */
+std::vector<int>
+contents(const common::Ring<int> &r)
+{
+    std::vector<int> out;
+    for (std::size_t i = 0; i < r.size(); ++i)
+        out.push_back(r[i]);
+    return out;
+}
+
+TEST(Ring, AllocatesOnFirstPush)
+{
+    common::Ring<int> r;
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.capacity(), 0u);
+    r.push_back(1);
+    EXPECT_EQ(r.capacity(), common::Ring<int>::kMinCapacity);
+}
+
+TEST(Ring, PushPopAcrossTheWrapPoint)
+{
+    common::Ring<int> r;
+    for (int i = 0; i < 6; ++i)
+        r.push_back(i);
+    r.pop_front(5);
+    // Head at slot 5 of 8: the next pushes wrap past the buffer end.
+    for (int i = 6; i < 13; ++i)
+        r.push_back(i);
+    EXPECT_EQ(r.capacity(), 8u);
+    EXPECT_EQ(contents(r), (std::vector<int>{5, 6, 7, 8, 9, 10, 11, 12}));
+    EXPECT_EQ(r.front(), 5);
+    EXPECT_EQ(r.back(), 12);
+    r.pop_front(3);
+    EXPECT_EQ(r.front(), 8);
+    r.pop_front();
+    EXPECT_EQ(contents(r), (std::vector<int>{9, 10, 11, 12}));
+    r.pop_front(4);
+    EXPECT_TRUE(r.empty());
+}
+
+TEST(Ring, GrowsWhileTheHeadIsWrapped)
+{
+    common::Ring<int> r;
+    for (int i = 0; i < 8; ++i)
+        r.push_back(i);
+    r.pop_front(6);
+    for (int i = 8; i < 14; ++i)
+        r.push_back(i); // head at slot 6, contents wrap to slot 5
+    EXPECT_EQ(r.size(), 8u);
+    EXPECT_EQ(r.capacity(), 8u);
+    r.push_back(14); // full and wrapped: growth must unwrap in order
+    EXPECT_EQ(r.capacity(), 16u);
+    EXPECT_EQ(contents(r),
+              (std::vector<int>{6, 7, 8, 9, 10, 11, 12, 13, 14}));
+}
+
+TEST(Ring, InsertShiftsTheShorterSide)
+{
+    common::Ring<int> r;
+    for (int i = 0; i < 6; ++i)
+        r.push_back(i * 10);
+    r.insert(1, 5); // front half: the head moves back one slot
+    EXPECT_EQ(contents(r), (std::vector<int>{0, 5, 10, 20, 30, 40, 50}));
+    r.insert(6, 45); // back half: the tail moves forward one slot
+    EXPECT_EQ(contents(r),
+              (std::vector<int>{0, 5, 10, 20, 30, 40, 45, 50}));
+    r.insert(8, 60); // at size(): an append, growing the full ring
+    r.insert(0, -10); // at 0: a push_front
+    EXPECT_EQ(contents(r), (std::vector<int>{-10, 0, 5, 10, 20, 30, 40,
+                                             45, 50, 60}));
+}
+
+TEST(Ring, PushFrontAcrossIndexZero)
+{
+    common::Ring<int> r;
+    r.push_back(2);
+    r.push_front(1); // head wraps from slot 0 to the last slot
+    r.push_front(0);
+    EXPECT_EQ(contents(r), (std::vector<int>{0, 1, 2}));
+    r.pop_front();
+    r.push_back(3);
+    EXPECT_EQ(contents(r), (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Ring, MovedFromRingIsEmptyAndReusable)
+{
+    common::Ring<int> a;
+    for (int i = 0; i < 5; ++i)
+        a.push_back(i);
+    common::Ring<int> b(std::move(a));
+    EXPECT_EQ(contents(b), (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_TRUE(a.empty()); // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(a.capacity(), 0u);
+    a.push_back(7);
+    a.push_front(6);
+    EXPECT_EQ(contents(a), (std::vector<int>{6, 7}));
+
+    common::Ring<int> c;
+    c.push_back(99);
+    c = std::move(b);
+    EXPECT_EQ(contents(c), (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_TRUE(b.empty()); // NOLINT(bugprone-use-after-move)
+    b.insert(0, 1);
+    EXPECT_EQ(contents(b), (std::vector<int>{1}));
+}
+
+TEST(Ring, RandomizedAgainstDeque)
+{
+    Rng rng(2024);
+    common::Ring<int> r;
+    std::deque<int> ref;
+    for (int step = 0; step < 20000; ++step) {
+        const int v = step;
+        // Six pushes to one pop of a random length: sizes wander over
+        // several capacities, so growth meets every head position.
+        switch (rng.uniformInt(std::uint64_t{7})) {
+          case 0:
+          case 1:
+            r.push_back(v);
+            ref.push_back(v);
+            break;
+          case 2:
+          case 3:
+            r.push_front(v);
+            ref.push_front(v);
+            break;
+          case 4:
+          case 5: {
+            const std::size_t i = rng.uniformInt(ref.size() + 1);
+            r.insert(i, v);
+            ref.insert(ref.begin() + static_cast<std::ptrdiff_t>(i), v);
+            break;
+          }
+          default: {
+            const std::size_t n = rng.uniformInt(ref.size() + 1);
+            r.pop_front(n);
+            ref.erase(ref.begin(),
+                      ref.begin() + static_cast<std::ptrdiff_t>(n));
+            break;
+          }
+        }
+        ASSERT_EQ(r.size(), ref.size());
+        if (!ref.empty()) {
+            ASSERT_EQ(r.front(), ref.front());
+            ASSERT_EQ(r.back(), ref.back());
+        }
+    }
+    EXPECT_EQ(contents(r), std::vector<int>(ref.begin(), ref.end()));
 }
 
 } // namespace

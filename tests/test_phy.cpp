@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/random.hpp"
@@ -273,6 +274,231 @@ TEST(PreemptionMux, MemoryMessageNotInterleaved)
              out[i].type() != BlockType::MemTerm; ++i) {
         EXPECT_TRUE(out[i].isData()) << "interleaved at " << i;
     }
+}
+
+/**
+ * Reference model of the mux's memory stream: a vector kept sorted by
+ * availability with stable ties (every enqueue form is a per-block
+ * upper-bound insert), emitting the head once it is available.
+ */
+struct RefMemoryQueue
+{
+    struct Entry
+    {
+        PhyBlock block;
+        Picoseconds ready;
+    };
+
+    std::vector<Entry> q;
+    bool mid_message = false;
+    std::uint64_t slots = 0;
+
+    void
+    enqueue(const PhyBlock &b, Picoseconds ready)
+    {
+        auto pos = std::upper_bound(
+            q.begin(), q.end(), ready,
+            [](Picoseconds r, const Entry &e) { return r < e.ready; });
+        q.insert(pos, Entry{b, ready});
+    }
+
+    PhyBlock
+    next(Picoseconds now)
+    {
+        if (q.empty() || q.front().ready > now)
+            return PhyBlock::idle();
+        const PhyBlock b = q.front().block;
+        q.erase(q.begin());
+        ++slots;
+        if (b.isControl() && b.type() == BlockType::MemStart)
+            mid_message = true;
+        else if (b.isControl() && b.type() == BlockType::MemTerm)
+            mid_message = false;
+        return b;
+    }
+
+    std::vector<Entry>
+    takeTrainRun(Picoseconds start, Picoseconds cycle, std::size_t max,
+                 std::size_t min_run)
+    {
+        if (!mid_message)
+            return {};
+        std::size_t n = 0;
+        while (n < max && n < q.size() && q[n].block.isData() &&
+               q[n].ready <= start + static_cast<Picoseconds>(n) * cycle)
+            ++n;
+        if (n < min_run)
+            return {};
+        std::vector<Entry> run(q.begin(),
+                               q.begin() + static_cast<std::ptrdiff_t>(n));
+        q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(n));
+        slots += n;
+        return run;
+    }
+
+    void
+    restore(const std::vector<Entry> &run)
+    {
+        // Merge by availability, restored blocks first on ties.
+        std::size_t pos = 0;
+        for (const Entry &e : run) {
+            while (pos < q.size() && q[pos].ready < e.ready)
+                ++pos;
+            q.insert(q.begin() + static_cast<std::ptrdiff_t>(pos++), e);
+        }
+        slots -= run.size();
+    }
+
+    Picoseconds
+    headAvail() const
+    {
+        return q.empty() ? PreemptionMux::kNever : q.front().ready;
+    }
+};
+
+TEST(PreemptionMux, RandomizedMemoryStreamMatchesReference)
+{
+    constexpr Picoseconds kCycle = 2560;
+    Rng rng(0x5EED);
+    PreemptionMux mux;
+    RefMemoryQueue ref;
+    Picoseconds now = 0;
+    std::uint64_t serial = 0;
+    std::vector<RefMemoryQueue::Entry> last_run;
+
+    // Mostly data, with enough /MS/ /MT/ /N/ to open and close messages
+    // (trains only form mid-message) and to stop runs at control blocks.
+    auto randomBlock = [&] {
+        const std::uint64_t id = ++serial;
+        switch (rng.uniformInt(std::uint64_t{10})) {
+          case 0:
+            return PhyBlock::control(BlockType::MemStart, id);
+          case 1:
+            return PhyBlock::control(BlockType::MemTerm, id);
+          case 2:
+            return PhyBlock::control(BlockType::Notify, id);
+          default:
+            return PhyBlock::data(id);
+        }
+    };
+    // Availability a few slots around now, so ties and out-of-order
+    // arrivals (a later stamp already queued) are both common.
+    auto randomReady = [&] {
+        return now + static_cast<Picoseconds>(
+                         rng.uniformInt(std::uint64_t{6})) *
+                         kCycle;
+    };
+
+    for (int step = 0; step < 20000; ++step) {
+        SCOPED_TRACE(step);
+        // Past a few dozen queued blocks only slots, trains and
+        // give-backs run, so the queue keeps wrapping at a bounded size.
+        const std::uint64_t op = ref.q.size() > 48
+                                     ? 4 + rng.uniformInt(std::uint64_t{4})
+                                     : rng.uniformInt(std::uint64_t{8});
+        switch (op) {
+          case 0: { // single block
+            const PhyBlock b = randomBlock();
+            const Picoseconds ready = randomReady();
+            mux.enqueueMemory(b, ready);
+            ref.enqueue(b, ready);
+            break;
+          }
+          case 1: { // vector, one shared stamp
+            std::vector<PhyBlock> bs(rng.uniformInt(std::uint64_t{6}));
+            for (auto &b : bs)
+                b = randomBlock();
+            const Picoseconds ready = randomReady();
+            mux.enqueueMemory(bs, ready);
+            for (const auto &b : bs)
+                ref.enqueue(b, ready);
+            break;
+          }
+          case 2: { // cut-through run, strided stamps
+            std::vector<PhyBlock> bs(rng.uniformInt(std::uint64_t{12}));
+            for (auto &b : bs)
+                b = randomBlock();
+            const Picoseconds first = randomReady();
+            const Picoseconds stride = static_cast<Picoseconds>(
+                rng.uniformInt(std::uint64_t{2}) * kCycle);
+            mux.enqueueMemoryRun(bs.data(), bs.size(), first, stride);
+            for (std::size_t i = 0; i < bs.size(); ++i)
+                ref.enqueue(bs[i],
+                            first + static_cast<Picoseconds>(i) * stride);
+            break;
+          }
+          case 3: { // explicit non-decreasing stamps
+            const std::size_t n = rng.uniformInt(std::uint64_t{8});
+            std::vector<PhyBlock> bs(n);
+            std::vector<Picoseconds> avails(n);
+            Picoseconds t = randomReady();
+            for (std::size_t i = 0; i < n; ++i) {
+                bs[i] = randomBlock();
+                t += static_cast<Picoseconds>(
+                         rng.uniformInt(std::uint64_t{2})) *
+                     kCycle;
+                avails[i] = t;
+            }
+            mux.enqueueMemoryList(bs.data(), avails.data(), n);
+            for (std::size_t i = 0; i < n; ++i)
+                ref.enqueue(bs[i], avails[i]);
+            break;
+          }
+          case 4:
+          case 5: { // one slot
+            EXPECT_EQ(mux.next(now), ref.next(now));
+            now += kCycle;
+            break;
+          }
+          case 6: { // train
+            const std::size_t max = 1 + rng.uniformInt(std::uint64_t{16});
+            const std::size_t min_run = 1 + rng.uniformInt(std::uint64_t{3});
+            // Pre-filled outputs check that the run is appended.
+            std::vector<PhyBlock> blocks{PhyBlock::idle()};
+            std::vector<Picoseconds> avails{-1};
+            const std::size_t n =
+                mux.takeTrainRun(now, kCycle, max, min_run, blocks, avails);
+            last_run = ref.takeTrainRun(now, kCycle, max, min_run);
+            ASSERT_EQ(n, last_run.size());
+            ASSERT_EQ(blocks.size(), n + 1);
+            ASSERT_EQ(avails.size(), n + 1);
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(blocks[i + 1], last_run[i].block);
+                EXPECT_EQ(avails[i + 1], last_run[i].ready);
+            }
+            now += static_cast<Picoseconds>(n) * kCycle;
+            break;
+          }
+          default: { // give back the uncommitted tail of the last train
+            if (last_run.empty() || !mux.midMemoryMessage())
+                break;
+            const std::size_t keep = rng.uniformInt(last_run.size());
+            std::vector<RefMemoryQueue::Entry> tail(
+                last_run.begin() + static_cast<std::ptrdiff_t>(keep),
+                last_run.end());
+            std::vector<PhyBlock> bs;
+            std::vector<Picoseconds> avails;
+            for (const auto &e : tail) {
+                bs.push_back(e.block);
+                avails.push_back(e.ready);
+            }
+            mux.restoreMemoryRun(bs.data(), avails.data(), bs.size());
+            ref.restore(tail);
+            last_run.clear();
+            break;
+          }
+        }
+        ASSERT_EQ(mux.midMemoryMessage(), ref.mid_message);
+        ASSERT_EQ(mux.headAvail(), ref.headAvail());
+        ASSERT_EQ(mux.memoryBacklog(), ref.q.size());
+        ASSERT_EQ(mux.memorySlots(), ref.slots);
+    }
+    // Drain: every queued block leaves in reference order.
+    while (!ref.q.empty()) {
+        now = std::max(now, ref.q.front().ready);
+        ASSERT_EQ(mux.next(now), ref.next(now));
+    }
+    EXPECT_FALSE(mux.hasWork());
 }
 
 TEST(PreemptionDemux, ExtractsMemoryAndReassemblesFrame)
