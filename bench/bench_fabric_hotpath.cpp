@@ -3,10 +3,14 @@
  * Fabric hot-path microbenchmark: end-to-end blocks/second through the
  * cycle-level fabric across three engine generations:
  *
- *   pr1  one event per block per hop, heap-only event queue
- *   pr2  memory block trains + timing-wheel queue (frames per-block)
+ *   pr1  one event per block per hop
+ *   pr2  memory block trains (frames per-block)
  *   pr3  payload-agnostic trains: frame bursts train too, and the
  *        egress path runs on pooled allocation-free storage
+ *
+ * All three run on the default event queue. The pr1 row no longer
+ * emulates the heap-only queue it first shipped with, so its ratios
+ * measure per-block emission alone.
  *
  * Four closed-loop workloads on an 8-node fabric (7 compute + 1
  * memory): bulk 2 KB reads, streaming 2 KB writes, a mixed read/write
@@ -84,19 +88,21 @@ loadName(Load l)
     return "?";
 }
 
-/** One engine generation = (memory trains, frame trains, wheel). */
+/**
+ * One engine generation = (memory train cap, frame train cap). Row
+ * names stay as first published so archived JSON keys still match.
+ */
 struct Engine
 {
     const char *name;
     std::size_t max_train;
     std::size_t max_frame_train;
-    bool wheel;
 };
 
 constexpr Engine kEngines[] = {
-    {"pr1-baseline", 1, 1, false},
-    {"pr2-trains+wheel", 64, 1, true},
-    {"pr3-frame-trains", 64, 64, true},
+    {"pr1-baseline", 1, 1},
+    {"pr2-trains+wheel", 64, 1},
+    {"pr3-frame-trains", 64, 64},
 };
 
 /**
@@ -120,8 +126,6 @@ RunStats
 run(Load load, const Engine &eng, std::uint64_t ops_per_node)
 {
     Simulation sim;
-    if (!eng.wheel)
-        sim.events().disableWheelForBenchmarking();
     EdmConfig cfg;
     cfg.num_nodes = kNodes;
     cfg.link_rate = Gbps{25.0};

@@ -30,8 +30,6 @@ EventQueue::freeSlot(std::uint32_t slot)
 {
     Slot &s = slots_[slot];
     s.cb.reset();
-    s.heap_pos = kNpos;
-    s.bucket = kNpos;
     // Bumping the generation invalidates every outstanding EventId for
     // this slot; wrap-around after 2^32 reuses is accepted.
     ++s.generation;
@@ -45,7 +43,7 @@ EventQueue::decode(EventId id) const
     const auto slot = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
     const auto generation = static_cast<std::uint32_t>(id >> 32);
     if (slot >= slots_.size() || slots_[slot].generation != generation ||
-        (slots_[slot].heap_pos == kNpos && slots_[slot].bucket == kNpos))
+        (slots_[slot].heap_pos == kNpos && !slots_[slot].in_ring))
         return kNpos;
     return slot;
 }
@@ -102,6 +100,7 @@ EventQueue::siftDown(std::uint32_t pos)
 void
 EventQueue::removeAt(std::uint32_t pos)
 {
+    slots_[heap_[pos].slot].heap_pos = kNpos;
     const HeapEntry last = heap_.back();
     heap_.pop_back();
     if (pos < heap_.size()) {
@@ -112,187 +111,113 @@ EventQueue::removeAt(std::uint32_t pos)
 }
 
 // ---------------------------------------------------------------------------
-// Timing wheel
+// Calendar ring
 // ---------------------------------------------------------------------------
 
 void
-EventQueue::wheelAppend(int level, std::uint32_t index, std::uint32_t slot)
+EventQueue::ringInsert(std::uint32_t slot)
 {
-    Bucket &b = buckets_[bucketIndex(level, index)];
     Slot &s = slots_[slot];
-    s.bucket = bucketIndex(level, index);
-    s.wheel_next = kNpos;
-    s.wheel_prev = b.tail;
-    if (b.tail != kNpos)
-        slots_[b.tail].wheel_next = slot;
-    else {
+    const std::uint32_t index = bucketOf(s.when);
+    Bucket &b = buckets_[index];
+    // Walk back from the tail past every later timestamp; equal ones stay
+    // ahead, so a time's events keep placement order. That is schedule
+    // order: a scheduled or rescheduled event is the newest at its time,
+    // and heap migrants arrive in heap order into buckets that only
+    // earlier migrants occupy (the window's new end).
+    std::uint32_t after = b.tail;
+    while (after != kNpos && slots_[after].when > s.when)
+        after = slots_[after].ring_prev;
+    s.ring_prev = after;
+    s.ring_next = after != kNpos ? slots_[after].ring_next : b.head;
+    if (s.ring_next != kNpos)
+        slots_[s.ring_next].ring_prev = slot;
+    else
+        b.tail = slot;
+    if (after != kNpos) {
+        slots_[after].ring_next = slot;
+    } else {
         b.head = slot;
-        bitmapSet(level, index);
+        occupied_[index >> 6] |= std::uint64_t{1} << (index & 63);
+        summary_ |= std::uint64_t{1} << (index >> 6);
     }
-    b.tail = slot;
-    ++level_count_[static_cast<std::size_t>(level)];
-    ++wheel_count_;
+    s.in_ring = true;
+    ++ring_count_;
 }
 
 void
-EventQueue::wheelUnlink(std::uint32_t slot)
+EventQueue::ringUnlink(std::uint32_t slot)
 {
     Slot &s = slots_[slot];
-    Bucket &b = buckets_[s.bucket];
-    if (s.wheel_prev != kNpos)
-        slots_[s.wheel_prev].wheel_next = s.wheel_next;
+    const std::uint32_t index = bucketOf(s.when);
+    Bucket &b = buckets_[index];
+    if (s.ring_prev != kNpos)
+        slots_[s.ring_prev].ring_next = s.ring_next;
     else
-        b.head = s.wheel_next;
-    if (s.wheel_next != kNpos)
-        slots_[s.wheel_next].wheel_prev = s.wheel_prev;
+        b.head = s.ring_next;
+    if (s.ring_next != kNpos)
+        slots_[s.ring_next].ring_prev = s.ring_prev;
     else
-        b.tail = s.wheel_prev;
-    if (b.head == kNpos)
-        bitmapClear(static_cast<int>(s.bucket / kLevelSlots),
-                    s.bucket & kSlotMask);
-    --level_count_[s.bucket / kLevelSlots];
-    s.bucket = kNpos;
-    --wheel_count_;
+        b.tail = s.ring_prev;
+    if (b.head == kNpos) {
+        std::uint64_t &word = occupied_[index >> 6];
+        word &= ~(std::uint64_t{1} << (index & 63));
+        if (word == 0)
+            summary_ &= ~(std::uint64_t{1} << (index >> 6));
+    }
+    s.in_ring = false;
+    --ring_count_;
 }
 
 void
 EventQueue::placeEvent(std::uint32_t slot)
 {
-    const Picoseconds when = slots_[slot].when;
-    const std::uint64_t delta_bits =
-        static_cast<std::uint64_t>(when) ^ static_cast<std::uint64_t>(now_);
-    if (!wheel_enabled_ || (delta_bits >> kWheelBits)) {
-        // Beyond the wheel's current top-level window: overflow heap.
-        heap_.push_back(HeapEntry{when, slots_[slot].seq, slot});
-        siftUp(static_cast<std::uint32_t>(heap_.size() - 1));
+    // when >= now_, so the tick distance cannot underflow; comparing
+    // ticks rather than ps keeps the window end from overflowing.
+    if (tickOf(slots_[slot].when) - tickOf(now_) < kRingSize) {
+        ringInsert(slot);
         return;
     }
-    // Deepest level whose window already matches the current time; the
-    // event files at the first level where the two still differ.
-    for (int level = 0; level < kWheelLevels; ++level) {
-        if (!(delta_bits >> (kLevelBits * (level + 1)))) {
-            wheelAppend(level,
-                        static_cast<std::uint32_t>(
-                            when >> (kLevelBits * level)) &
-                            kSlotMask,
-                        slot);
-            return;
-        }
-    }
-    EDM_PANIC("unreachable wheel placement");
+    heap_.push_back(HeapEntry{slots_[slot].when, next_seq_++, slot});
+    siftUp(static_cast<std::uint32_t>(heap_.size() - 1));
 }
 
-void
-EventQueue::cascade(int level, std::uint32_t index)
+std::uint32_t
+EventQueue::nextBucket() const
 {
-    Bucket &b = buckets_[bucketIndex(level, index)];
-    std::uint32_t slot = b.head;
-    if (slot == kNpos)
-        return;
-    b.head = kNpos;
-    b.tail = kNpos;
-    bitmapClear(level, index);
-    // Re-file in list order: within a timestamp the list is in sequence
-    // order, and placeEvent appends, so FIFO survives the cascade.
-    while (slot != kNpos) {
-        const std::uint32_t next = slots_[slot].wheel_next;
-        slots_[slot].bucket = kNpos;
-        --level_count_[static_cast<std::size_t>(level)];
-        --wheel_count_;
-        placeEvent(slot);
-        slot = next;
-    }
+    EDM_ASSERT(ring_count_ > 0, "scanning an empty ring");
+    // Ticks run circularly from now's bucket: first its own word above
+    // it, then the later words, then (wrapped) the words up to and
+    // including its own, whose remaining bits lie below the start.
+    const std::uint32_t start = bucketOf(now_);
+    const std::uint32_t word = start >> 6;
+    const std::uint64_t here =
+        occupied_[word] & (~std::uint64_t{0} << (start & 63));
+    if (here)
+        return (word << 6) + static_cast<std::uint32_t>(std::countr_zero(here));
+    std::uint64_t words = summary_ & (~std::uint64_t{1} << word);
+    if (words == 0)
+        words = summary_;
+    const auto w = static_cast<std::uint32_t>(std::countr_zero(words));
+    return (w << 6) +
+        static_cast<std::uint32_t>(std::countr_zero(occupied_[w]));
 }
 
 void
 EventQueue::advanceTo(Picoseconds t)
 {
-    const Picoseconds old = now_;
+    const std::uint64_t old_tick = tickOf(now_);
     now_ = t;
-    if (t == old)
+    if (tickOf(t) == old_tick)
         return;
-    // Entering a new window at level L-1 exposes the level-L bucket that
-    // covers it; cascade top-down so higher-level events settle through
-    // intermediate levels. Skipped-over buckets are provably empty: t is
-    // the earliest pending timestamp.
-    for (int level = kWheelLevels - 1; level >= 1; --level) {
-        if ((t >> (kLevelBits * level)) != (old >> (kLevelBits * level)))
-            cascade(level,
-                    static_cast<std::uint32_t>(
-                        t >> (kLevelBits * level)) &
-                        kSlotMask);
+    // The window's end moved with now: file every heap event it now
+    // covers. Their buckets held only already-fired ticks, so they are
+    // empty, and the heap yields the migrants in (when, seq) order.
+    while (!heap_.empty() && tickOf(heap_[0].when) - tickOf(t) < kRingSize) {
+        const std::uint32_t slot = heap_[0].slot;
+        removeAt(0);
+        ringInsert(slot);
     }
-}
-
-std::uint32_t
-EventQueue::bitmapScan(int level, std::uint32_t from) const
-{
-    if (from >= kLevelSlots)
-        return kNpos;
-    const auto &words = bitmap_[static_cast<std::size_t>(level)];
-    std::uint32_t word = from >> 6;
-    std::uint64_t bits = words[word] &
-        (~std::uint64_t{0} << (from & 63));
-    for (;;) {
-        if (bits)
-            return (word << 6) +
-                static_cast<std::uint32_t>(std::countr_zero(bits));
-        if (++word >= kLevelSlots / 64)
-            return kNpos;
-        bits = words[word];
-    }
-}
-
-bool
-EventQueue::wheelPeek(Picoseconds &when, std::uint64_t &seq) const
-{
-    if (wheel_count_ == 0)
-        return false;
-    // Level 0: 1 ps buckets — the hit is an exact timestamp and the list
-    // head is the lowest sequence at it.
-    if (level_count_[0] > 0) {
-        const std::uint32_t cur =
-            static_cast<std::uint32_t>(now_) & kSlotMask;
-        const std::uint32_t idx = bitmapScan(0, cur);
-        if (idx != kNpos) {
-            const Bucket &b = buckets_[bucketIndex(0, idx)];
-            when = (now_ & ~static_cast<Picoseconds>(kSlotMask)) + idx;
-            seq = slots_[b.head].seq;
-            return true;
-        }
-    }
-    // Higher levels: remaining buckets of the current window are strictly
-    // later than everything below; the first occupied one holds the
-    // earliest events, found with a list walk (buckets span many ticks).
-    for (int level = 1; level < kWheelLevels; ++level) {
-        if (level_count_[static_cast<std::size_t>(level)] == 0)
-            continue;
-        const std::uint32_t cur =
-            static_cast<std::uint32_t>(now_ >> (kLevelBits * level)) &
-            kSlotMask;
-        const std::uint32_t idx = bitmapScan(level, cur + 1);
-        if (idx == kNpos)
-            continue;
-        const Bucket &b = buckets_[bucketIndex(level, idx)];
-        Picoseconds best_when = 0;
-        std::uint64_t best_seq = 0;
-        bool found = false;
-        for (std::uint32_t s = b.head; s != kNpos;
-             s = slots_[s].wheel_next) {
-            const Slot &sl = slots_[s];
-            if (!found || sl.when < best_when ||
-                (sl.when == best_when && sl.seq < best_seq)) {
-                best_when = sl.when;
-                best_seq = sl.seq;
-                found = true;
-            }
-        }
-        EDM_ASSERT(found, "occupied wheel bucket with no events");
-        when = best_when;
-        seq = best_seq;
-        return true;
-    }
-    EDM_PANIC("wheel_count_ %zu but no occupied bucket", wheel_count_);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +235,6 @@ EventQueue::schedule(Picoseconds when, Callback cb)
     Slot &s = slots_[slot];
     s.cb = std::move(cb);
     s.when = when;
-    s.seq = next_seq_++;
     placeEvent(slot);
     return makeId(slot, s.generation);
 }
@@ -329,8 +253,8 @@ EventQueue::cancel(EventId id)
     const std::uint32_t slot = decode(id);
     if (slot == kNpos)
         return false;
-    if (slots_[slot].bucket != kNpos)
-        wheelUnlink(slot);
+    if (slots_[slot].in_ring)
+        ringUnlink(slot);
     else
         removeAt(slots_[slot].heap_pos);
     freeSlot(slot);
@@ -349,14 +273,11 @@ EventQueue::reschedule(EventId id, Picoseconds when)
     Slot &s = slots_[slot];
     // Detach wherever the event lives, re-sequence, re-file. The slot —
     // and therefore the caller's EventId — survives the migration.
-    if (s.bucket != kNpos) {
-        wheelUnlink(slot);
-    } else {
+    if (s.in_ring)
+        ringUnlink(slot);
+    else
         removeAt(s.heap_pos);
-        s.heap_pos = kNpos;
-    }
     s.when = when;
-    s.seq = next_seq_++;
     placeEvent(slot);
     return true;
 }
@@ -368,59 +289,23 @@ EventQueue::isPending(EventId id) const
 }
 
 bool
-EventQueue::peekSelect(Picoseconds &when, std::uint64_t &seq,
-                       bool &from_wheel) const
-{
-    Picoseconds wheel_when = 0;
-    std::uint64_t wheel_seq = 0;
-    const bool have_wheel = wheelPeek(wheel_when, wheel_seq);
-    const bool have_heap = !heap_.empty();
-    if (!have_wheel && !have_heap)
-        return false;
-
-    // Wheel and heap can both hold events at one timestamp (an event
-    // scheduled far ahead overflowed to the heap, a later one at the
-    // same time landed in the wheel): tie-break by sequence.
-    from_wheel = have_wheel;
-    if (have_wheel && have_heap) {
-        const HeapEntry &top = heap_[0];
-        from_wheel = wheel_when != top.when ? wheel_when < top.when
-                                            : wheel_seq < top.seq;
-    }
-    when = from_wheel ? wheel_when : heap_[0].when;
-    seq = from_wheel ? wheel_seq : heap_[0].seq;
-    return true;
-}
-
-bool
 EventQueue::step(Picoseconds horizon)
 {
-    Picoseconds when = 0;
-    std::uint64_t seq = 0;
-    bool from_wheel = false;
-    if (!peekSelect(when, seq, from_wheel))
-        return false;
-    if (when > horizon)
-        return false;
-
-    advanceTo(when);
-
     std::uint32_t slot;
-    if (from_wheel) {
-        // After advanceTo, the winner sits in the level-0 bucket of its
-        // exact timestamp; pop the FIFO head.
-        const std::uint32_t idx =
-            static_cast<std::uint32_t>(when) & kSlotMask;
-        const Bucket &b = buckets_[bucketIndex(0, idx)];
-        slot = b.head;
-        EDM_ASSERT(slot != kNpos && slots_[slot].when == when,
-                   "wheel candidate lost during cascade");
-        wheelUnlink(slot);
+    if (ring_count_ > 0) {
+        // Every heap event lies beyond the ring's end, so the head of the
+        // first occupied bucket is the global minimum.
+        slot = buckets_[nextBucket()].head;
+        if (slots_[slot].when > horizon)
+            return false;
+        ringUnlink(slot);
     } else {
+        if (heap_.empty() || heap_[0].when > horizon)
+            return false;
         slot = heap_[0].slot;
         removeAt(0);
-        slots_[slot].heap_pos = kNpos;
     }
+    advanceTo(slots_[slot].when);
 
     // Detach the callback and retire the entry before invoking: the
     // callback may schedule, cancel, or reschedule other events freely.

@@ -2,27 +2,28 @@
  * @file
  * Discrete-event simulation engine.
  *
- * A hierarchical timing wheel fronts an indexed 4-ary heap. Near-future
- * events — the "now + a few cycles" timer class that dominates the
- * cycle-level fabric — are filed into one of four 256-slot wheel levels
- * (1 ps ticks at level 0, ×256 per level, ~4.3 ms total span) in O(1);
- * events beyond the wheel span overflow to the heap. Per-level occupancy
- * bitmaps make "find the next event" a handful of countr_zero scans, and
- * buckets cascade toward level 0 lazily as simulated time advances
- * (Varghese & Lauck's hashed hierarchical wheel, adapted to the exact
- * (time, sequence) ordering a deterministic simulator needs).
+ * A sliding calendar ring (Brown, CACM 1988) fronts an indexed 4-ary
+ * heap. The ring has 4,096 buckets of 64 ps each, so it covers the
+ * 262 ns after now's bucket: about a hundred 2,560 ps PCS cycles, which
+ * holds the "now + a few cycles" timer class that dominates the
+ * cycle-level fabric. An event inside that window is filed once, into
+ * bucket `(when >> 6) & 4095`; an event beyond it goes to the overflow
+ * heap and moves into the ring when the window reaches it. A 64-word
+ * occupancy bitmap plus one summary word finds the next occupied
+ * bucket, scanning circularly from now's bucket.
  *
- * Ordering contract (identical to the pure-heap engine): events fire in
- * (time, schedule-sequence) order, so same-timestamp events run in
- * scheduling order regardless of which structure held them — level-0
- * buckets are 1 ps wide, making every bucket a single-timestamp FIFO
- * list, and wheel/heap candidates are tie-broken by sequence on pop.
+ * Ordering contract: events fire in (time, schedule-sequence) order, so
+ * same-timestamp events run in scheduling order regardless of which
+ * structure held them. Each bucket is an intrusive list sorted by time
+ * and FIFO within a time; the heap breaks ties by push order. Every heap
+ * event lies beyond the ring's end, so the head of the first occupied
+ * bucket is the global minimum, and no time is in both at once.
  *
  * Events can be cancelled or rescheduled via the EventId handle: the
  * handle encodes a slot index plus a generation counter, so stale
  * handles (fired or already-cancelled events) are rejected without any
- * hash lookup. Cancellation unlinks wheel events in O(1) and removes
- * heap events in O(log n); rescheduling migrates freely between wheel
+ * hash lookup. Cancellation unlinks ring events in O(1) and removes
+ * heap events in O(log n); rescheduling migrates freely between ring
  * and heap. Callbacks are SmallFunction (small-buffer optimized,
  * move-only): typical capture sets live inline in the slot table, so
  * scheduling does not allocate.
@@ -56,6 +57,17 @@ class EventQueue
     using Callback = SmallFunction<void(), 48>;
     using EventId = ::edm::EventId; ///< for generic code over queue types
 
+    /** log2 of one ring bucket's width in ps. */
+    static constexpr int kBucketBits = 6;
+    /** log2 of the number of ring buckets. */
+    static constexpr int kRingBits = 12;
+    /**
+     * Ring span in ps: an event whose bucket is fewer than 4,096 buckets
+     * past now's bucket is filed in the ring, anything later in the heap.
+     */
+    static constexpr Picoseconds kRingSpan =
+        Picoseconds{1} << (kBucketBits + kRingBits);
+
     /** Current simulation time. */
     Picoseconds now() const { return now_; }
 
@@ -87,10 +99,10 @@ class EventQueue
     bool isPending(EventId id) const;
 
     /** True if no runnable events remain. */
-    bool empty() const { return heap_.empty() && wheel_count_ == 0; }
+    bool empty() const { return pending() == 0; }
 
     /** Number of pending (non-cancelled) events. */
-    std::size_t pending() const { return heap_.size() + wheel_count_; }
+    std::size_t pending() const { return heap_.size() + ring_count_; }
 
     /** Total number of events executed over the queue's lifetime. */
     std::uint64_t executed() const { return executed_; }
@@ -110,38 +122,16 @@ class EventQueue
     /** Request run() to return after the current event completes. */
     void stop() { stop_requested_ = true; }
 
-    /**
-     * Route every future event through the overflow heap, disabling the
-     * timing-wheel fast path. This restores the engine the PR 1
-     * baseline shipped (indexed 4-ary heap for everything) so
-     * benchmarks can measure the wheel's contribution honestly; it is
-     * not meant for production use.
-     * @pre no events pending.
-     */
-    void
-    disableWheelForBenchmarking()
-    {
-        EDM_ASSERT(pending() == 0,
-                   "wheel can only be disabled on an empty queue");
-        wheel_enabled_ = false;
-    }
-
   private:
     static constexpr std::uint32_t kNpos = 0xFFFFFFFFu;
-
-    // ---- timing-wheel geometry ----
-    static constexpr int kWheelLevels = 4;
-    static constexpr int kLevelBits = 8;
-    static constexpr std::uint32_t kLevelSlots = 1u << kLevelBits;
-    static constexpr std::uint32_t kSlotMask = kLevelSlots - 1;
-    /** Bits of `when` resolved by the wheel; beyond that, the heap. */
-    static constexpr int kWheelBits = kWheelLevels * kLevelBits;
+    static constexpr std::uint32_t kRingSize = 1u << kRingBits;
+    static constexpr std::uint32_t kRingMask = kRingSize - 1;
 
     /** Heap entry: ordering key plus the owning slot. */
     struct HeapEntry
     {
         Picoseconds when;
-        std::uint64_t seq; ///< FIFO tie-break among equal timestamps
+        std::uint64_t seq; ///< heap push order: FIFO among equal times
         std::uint32_t slot;
 
         bool
@@ -156,16 +146,15 @@ class EventQueue
     {
         Callback cb;
         Picoseconds when = 0;
-        std::uint64_t seq = 0;
         std::uint32_t generation = 1; ///< bumped when the slot is freed
         std::uint32_t heap_pos = kNpos;  ///< position if heap-resident
-        std::uint32_t bucket = kNpos;    ///< bucket if wheel-resident
-        std::uint32_t wheel_prev = kNpos;
-        std::uint32_t wheel_next = kNpos;
+        std::uint32_t ring_prev = kNpos; ///< bucket neighbours if
+        std::uint32_t ring_next = kNpos; ///< ring-resident
         std::uint32_t next_free = kNpos;
+        bool in_ring = false;
     };
 
-    /** Intrusive FIFO list of slots sharing a wheel bucket. */
+    /** Intrusive list of one bucket's slots: by time, FIFO within one. */
     struct Bucket
     {
         std::uint32_t head = kNpos;
@@ -178,6 +167,20 @@ class EventQueue
         return (static_cast<EventId>(generation) << 32) | slot;
     }
 
+    /** Index of the 64 ps tick holding @p t. */
+    static std::uint64_t
+    tickOf(Picoseconds t)
+    {
+        return static_cast<std::uint64_t>(t) >> kBucketBits;
+    }
+
+    /** Ring index of the bucket holding time @p t. */
+    static std::uint32_t
+    bucketOf(Picoseconds t)
+    {
+        return static_cast<std::uint32_t>(tickOf(t)) & kRingMask;
+    }
+
     /** Decode an id; returns the slot index or kNpos for stale ids. */
     std::uint32_t decode(EventId id) const;
 
@@ -187,61 +190,30 @@ class EventQueue
     // ---- heap ----
     void siftUp(std::uint32_t pos);
     void siftDown(std::uint32_t pos);
+    /** Remove the entry at @p pos; its slot's heap_pos becomes kNpos. */
     void removeAt(std::uint32_t pos);
     void placeHeap(std::uint32_t pos, HeapEntry entry);
 
-    // ---- wheel ----
-    /** File a detached slot into the wheel or the overflow heap. */
+    // ---- ring ----
+    /** File a detached slot into the ring or the overflow heap. */
     void placeEvent(std::uint32_t slot);
-    /** Unlink a wheel-resident slot from its bucket. */
-    void wheelUnlink(std::uint32_t slot);
-    void wheelAppend(int level, std::uint32_t index, std::uint32_t slot);
-    /** Re-file every event of a bucket relative to the current time. */
-    void cascade(int level, std::uint32_t index);
-    /** Advance the wheel clock to @p t, cascading entered windows. */
+    /** Insert a slot into its bucket behind every event at its time. */
+    void ringInsert(std::uint32_t slot);
+    /** Unlink a ring-resident slot from its bucket. */
+    void ringUnlink(std::uint32_t slot);
+    /** First occupied bucket at or circularly after now's bucket. */
+    std::uint32_t nextBucket() const;
+    /** Set now to @p t and move heap events the window reached. */
     void advanceTo(Picoseconds t);
-    /**
-     * Earliest wheel event as (when, seq, found); O(bitmap scan) plus a
-     * list walk when the candidate lives above level 0.
-     */
-    bool wheelPeek(Picoseconds &when, std::uint64_t &seq) const;
-
-    /** Earliest pending (when, seq) and whether the wheel holds it. */
-    bool peekSelect(Picoseconds &when, std::uint64_t &seq,
-                    bool &from_wheel) const;
-
-    static std::uint32_t
-    bucketIndex(int level, std::uint32_t index)
-    {
-        return static_cast<std::uint32_t>(level) * kLevelSlots + index;
-    }
-
-    void
-    bitmapSet(int level, std::uint32_t index)
-    {
-        bitmap_[static_cast<std::size_t>(level)][index >> 6] |=
-            std::uint64_t{1} << (index & 63);
-    }
-
-    void
-    bitmapClear(int level, std::uint32_t index)
-    {
-        bitmap_[static_cast<std::size_t>(level)][index >> 6] &=
-            ~(std::uint64_t{1} << (index & 63));
-    }
-
-    /** First set bitmap index >= @p from at @p level, or kNpos. */
-    std::uint32_t bitmapScan(int level, std::uint32_t from) const;
 
     std::vector<HeapEntry> heap_;
     std::vector<Slot> slots_;
-    std::array<Bucket, kWheelLevels * kLevelSlots> buckets_{};
-    std::array<std::array<std::uint64_t, kLevelSlots / 64>, kWheelLevels>
-        bitmap_{};
-    /** Events resident per level: lets the peek skip empty levels. */
-    std::array<std::uint32_t, kWheelLevels> level_count_{};
-    std::size_t wheel_count_ = 0;
-    bool wheel_enabled_ = true;
+    std::array<Bucket, kRingSize> buckets_{};
+    /** Bit i set iff bucket i is occupied. */
+    std::array<std::uint64_t, kRingSize / 64> occupied_{};
+    /** Bit w set iff occupied_[w] != 0. */
+    std::uint64_t summary_ = 0;
+    std::size_t ring_count_ = 0;
     std::uint32_t free_head_ = kNpos;
     Picoseconds now_ = 0;
     std::uint64_t next_seq_ = 0;
